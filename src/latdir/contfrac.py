@@ -378,7 +378,8 @@ class RotationScan:
             self._D = L.denominator * iv.hi.denominator
             self._L = L.numerator * iv.hi.denominator
             # consecutive convergents: the cross difference is exactly 1
-            assert iv.hi.numerator * L.denominator - self._L == 1
+            if iv.hi.numerator * L.denominator - self._L != 1:
+                raise ValueError(f"enclosure ({iv.lo}, {iv.hi}) is not bounded by consecutive convergents")
             try:
                 self._records = [self._record(q) for q in range(1, self.q_max + 1)]
             except _Ambiguous:

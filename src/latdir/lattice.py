@@ -8,7 +8,10 @@ The regions of interest pinch around the last coordinate axis:
 
 Counting is exact-by-construction: candidates are generated by an exhaustive
 enumerator and then filtered by the region predicate, with an exact-rational
-recheck for points that graze a constraint boundary in floating point.
+recheck for points that graze a constraint boundary in floating point.  The
+enumerator LLL-reduces the basis first and scans a plain integer box in the
+reduced coordinates, so its cost does not grow with the condition number of
+a flowed basis g_t k B.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ GRAZE_TOL = 1e-9
 
 
 class CandidateBudgetExceeded(RuntimeError):
-    """Candidate enumeration would exceed the configured budget (t too large?)."""
+    """Candidate enumeration would exceed the configured budget, or the basis
+    is degenerate (singular or non-finite)."""
 
 
 class UnboundedRegion(ValueError):
@@ -105,12 +109,6 @@ def g_flow(t: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # regions
 
-def _default_c(norm: str) -> float:
-    # sup norm: the Dirichlet constant can be taken to be 1; euclidean: only
-    # existence of the constant matters, 1 is the working default.
-    return 1.0
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """A truncation of the thinning region.
@@ -133,7 +131,9 @@ class RegionSpec:
         if self.norm not in ("euclidean", "sup"):
             raise ValueError("norm must be 'euclidean' or 'sup'")
         if self.c <= 0.0:
-            object.__setattr__(self, "c", _default_c(self.norm))
+            # sup norm: the Dirichlet constant can be taken to be 1; euclidean:
+            # only existence of the constant matters, 1 is the working default
+            object.__setattr__(self, "c", 1.0)
         if self.T <= 0.0:
             raise ValueError("T must be positive")
         if self.kind == "R" and not 0.0 <= self.eps < 1.0:
@@ -263,134 +263,92 @@ def region_volume(spec: RegionSpec) -> float:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
-def _fm_eliminate(A: np.ndarray, b: np.ndarray, var: int):
-    """Exact Fourier-Motzkin projection eliminating one variable."""
-    scale = np.max(np.abs(A), axis=1) + np.abs(b)
-    col = A[:, var]
-    tol = 1e-12 * (scale + 1.0)
-    pos = col > tol
-    neg = col < -tol
-    keep = ~pos & ~neg
+LLL_DELTA = 0.75
+LLL_STEP_CAP = 5000  # a capped, partly reduced basis only costs candidates
 
-    parts_A, parts_b = [], []
-    if np.any(keep):
-        parts_A.append(A[keep])
-        parts_b.append(b[keep])
-    if np.any(pos) and np.any(neg):
-        Au = A[pos] / col[pos, None]
-        bu = b[pos] / col[pos]
-        Al = A[neg] / col[neg, None]
-        bl = b[neg] / col[neg]
-        newA = (Au[:, None, :] - Al[None, :, :]).reshape(-1, A.shape[1])
-        newb = (bu[:, None] - bl[None, :]).reshape(-1)
-        parts_A.append(newA)
-        parts_b.append(newb)
-    if not parts_A:
-        return np.zeros((0, A.shape[1])), np.zeros(0), True
-    A2 = np.vstack(parts_A)
-    b2 = np.concatenate(parts_b)
-    # renormalize and drop trivial rows; a trivial row with b < 0 is infeasible
-    mag = np.max(np.abs(A2), axis=1)
-    trivial = mag < 1e-12
-    if np.any(trivial & (b2 < -1e-9 * (np.abs(b2) + 1.0))):
-        return None, None, False
-    A2, b2 = A2[~trivial], b2[~trivial]
-    mag = mag[~trivial]
-    if len(b2):
-        A2 = A2 / mag[:, None]
-        b2 = b2 / mag
-        uniq = np.unique(np.round(np.column_stack([A2, b2]), 12), axis=0)
-        A2, b2 = uniq[:, :-1], uniq[:, -1]
-    return A2, b2, True
+
+def _gram_schmidt(b: list) -> tuple[list, list]:
+    """Float Gram-Schmidt coefficients mu[i][j] and squared norms |b*_i|^2."""
+    n = len(b)
+    mu = [[0.0] * n for _ in range(n)]
+    stars, norm2 = [], []
+    for i, bi in enumerate(b):
+        v = list(bi)
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(bi, stars[j])) / norm2[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, stars[j])]
+        nv = sum(x * x for x in v)
+        if not 0.0 < nv < math.inf:
+            raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
+        stars.append(v)
+        norm2.append(nv)
+    return mu, norm2
+
+
+def _lll_transform(B: np.ndarray) -> list[list[int]]:
+    """Columns of an exact unimodular U with B U LLL-reduced (delta = 3/4).
+
+    Gram-Schmidt runs in floats on the columns of B; U is tracked in Python
+    integers, so a float slip can leave B U less reduced but never changes the
+    lattice it spans.
+    """
+    n = B.shape[1]
+    b = B.T.tolist()
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    k = 1
+    for _ in range(LLL_STEP_CAP):
+        if k >= n:
+            break
+        mu, norm2 = _gram_schmidt(b[: k + 1])
+        for j in range(k - 1, -1, -1):  # size-reduce b_k
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            k = max(k - 1, 1)
+    if abs(_int_det(u)) != 1:
+        raise ArithmeticError("basis reduction produced a non-unimodular transform")
+    return u
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Exact integer determinant by cofactor expansion (small dimensions)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * a * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def _int_bounds(lo: np.ndarray, hi: np.ndarray):
     pad_lo = 1e-9 * (np.abs(lo) + 1.0)
     pad_hi = 1e-9 * (np.abs(hi) + 1.0)
-    return np.ceil(lo - pad_lo).astype(np.int64), np.floor(hi + pad_hi).astype(np.int64)
-
-
-def _fm_candidates(M: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int) -> np.ndarray:
-    """Integer vectors n whose image M n can lie in [lo, hi], exhaustively.
-
-    Works by exact projection (Fourier-Motzkin) of the preimage parallelepiped,
-    so needle-shaped preimages cost O(needle length) candidates instead of the
-    full integer bounding box.
-    """
-    dim = M.shape[0]
-    A = np.vstack([M, -M]).astype(float)
-    b = np.concatenate([hi, -lo]).astype(float)
-
-    Minv = np.linalg.inv(M)
-    half = (hi - lo) / 2.0
-    extent = np.abs(Minv) @ half
-    order = np.argsort(extent, kind="stable")
-
-    systems: list = [None] * dim
-    systems[dim - 1] = (A, b)
-    for k in range(dim - 1, 0, -1):
-        Ak, bk = systems[k]
-        A2, b2, feasible = _fm_eliminate(Ak, bk, int(order[k]))
-        if not feasible:
-            return np.zeros((0, dim), dtype=np.int64)
-        systems[k - 1] = (A2, b2)
-
-    partial = None
-    for k in range(dim):
-        Ak, bk = systems[k]
-        j = int(order[k])
-        col = Ak[:, j]
-        tol = 1e-12
-        pos = col > tol
-        neg = col < -tol
-        if not np.any(pos) or not np.any(neg):
-            raise CandidateBudgetExceeded("unbounded projection: box/basis pair is degenerate")
-        if k == 0:
-            ub = np.min(bk[pos] / col[pos])
-            lb = np.max(bk[neg] / col[neg])
-            lbs, ubs = _int_bounds(np.array([lb]), np.array([ub]))
-            counts = np.maximum(ubs - lbs + 1, 0)
-            if counts[0] > budget:
-                raise CandidateBudgetExceeded(f"{counts[0]} candidates at level 0 exceeds budget {budget}")
-            vals = np.arange(lbs[0], lbs[0] + counts[0], dtype=np.int64)
-            partial = vals[:, None]
-            continue
-        prev_vars = [int(v) for v in order[:k]]
-        rhs = bk[None, :] - partial[:, :].astype(float) @ Ak[:, prev_vars].T
-        ub = np.full(len(partial), np.inf)
-        lb = np.full(len(partial), -np.inf)
-        if np.any(pos):
-            ub = np.min(rhs[:, pos] / col[pos][None, :], axis=1)
-        if np.any(neg):
-            lb = np.max(rhs[:, neg] / col[neg][None, :], axis=1)
-        lbs, ubs = _int_bounds(lb, ub)
-        counts = np.maximum(ubs - lbs + 1, 0)
-        total = int(counts.sum())
-        if total > budget:
-            raise CandidateBudgetExceeded(f"{total} candidates at level {k} exceeds budget {budget}")
-        if total == 0:
-            return np.zeros((0, dim), dtype=np.int64)
-        nz = counts > 0
-        P, L, C = partial[nz], lbs[nz], counts[nz]
-        idx = np.repeat(np.arange(len(C)), C)
-        starts = np.concatenate([[0], np.cumsum(C)[:-1]])
-        offs = np.arange(total, dtype=np.int64) - np.repeat(starts, C)
-        vals = L[idx] + offs
-        partial = np.column_stack([P[idx], vals])
-
-    ns = np.zeros((len(partial), dim), dtype=np.int64)
-    for k in range(dim):
-        ns[:, int(order[k])] = partial[:, k]
-    return ns
+    return np.ceil(lo - pad_lo), np.floor(hi + pad_hi)
 
 
 def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
                      return_coords: bool = False):
     """All nonzero lattice points in the closed axis-aligned box, exhaustively.
 
-    Raises CandidateBudgetExceeded when the candidate count would pass the
-    budget (default 10^8, env LATDIR_BUDGET) -- the signature of an
-    ill-conditioned basis/box pair, e.g. a flow time that is too large.
+    The basis B is LLL-reduced to R = B U first, with U exact and unimodular.
+    The box's preimage under R is covered by an integer box, which stays small
+    however ill-conditioned B is (a flowed g_t k basis has condition number
+    e^{(d+1)t}) until the rounding margin of the float products dominates,
+    near condition number 1e12. The box is bounded from a fresh product B U,
+    so an imperfect float reduction costs candidates, never points. Points
+    are computed as n @ B.T on the original basis and returned in
+    lexicographic order of their integer coordinates n.
+
+    Raises CandidateBudgetExceeded before allocating the candidates when the
+    integer box holds more points than the budget (default 10^8, env
+    LATDIR_BUDGET), or when the basis is degenerate.
     """
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
@@ -398,12 +356,35 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
         raise ValueError("box endpoints must match the lattice dimension")
     if np.any(hi < lo):
         raise ValueError("box endpoints out of order")
-    ns = _fm_candidates(lat.basis, lo, hi, budget if budget is not None else default_budget())
-    if len(ns):
-        ns = ns[np.any(ns != 0, axis=1)]
-    pts = ns.astype(float) @ lat.basis.T
+    budget = budget if budget is not None else default_budget()
+    B = lat.basis
+    U = np.array(_lll_transform(B), dtype=np.int64).T
+    try:
+        Rinv = np.linalg.inv(B @ U)
+    except np.linalg.LinAlgError:
+        raise CandidateBudgetExceeded("degenerate basis: singular after reduction") from None
+    with np.errstate(all="ignore"):
+        center = Rinv @ ((lo + hi) / 2.0)
+        extent = np.abs(Rinv) @ ((hi - lo) / 2.0)
+        # widen by the rounding error of the float products B U m and n @ B.T
+        m_abs = np.abs(center) + extent + 1.0
+        rounding = 4 * lat.dim * np.finfo(float).eps * (np.abs(B) @ (np.abs(U) @ m_abs))
+        extent += np.abs(Rinv) @ rounding
+    m_lo, m_hi = _int_bounds(center - extent, center + extent)
+    if not (np.all(np.isfinite(m_lo)) and np.all(np.isfinite(m_hi))):
+        raise CandidateBudgetExceeded("unbounded preimage of the box: degenerate basis or infinite box")
+    m_lo, m_hi = [int(v) for v in m_lo], [int(v) for v in m_hi]
+    total = math.prod(max(h - l + 1, 0) for l, h in zip(m_lo, m_hi))  # exact, never wraps
+    if total > budget:
+        raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
+    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(m_lo, m_hi)]
+    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lat.dim)
+    ns = m @ U.T
+    ns = ns[np.any(ns != 0, axis=1)]
+    pts = ns.astype(float) @ B.T
     inside = np.all(pts >= lo[None, :], axis=1) & np.all(pts <= hi[None, :], axis=1)
-    pts, ns = pts[inside], ns[inside]
+    order = np.lexsort(ns[inside].T[::-1])
+    pts, ns = pts[inside][order], ns[inside][order]
     if return_coords:
         return pts, ns
     return pts

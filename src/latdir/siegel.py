@@ -239,9 +239,11 @@ def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int
                       threads: int = 1) -> MCEstimate:
     """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
 
-    Enumeration cost grows like e^{dt}; under the default candidate budget,
-    t up to about 8 stays feasible for d <= 2. Larger t raises
-    CandidateBudgetExceeded instead of silently truncating.
+    Enumeration reduces each flowed basis first, so its cost stays flat in t
+    while float coordinates are accurate.  Once the condition number e^{(d+1)t}
+    nears 1/machine-epsilon, the rounding margin widens the candidate box, and
+    a box past the budget raises CandidateBudgetExceeded instead of silently
+    truncating.
     """
     if M < 2:
         raise ValueError("need at least 2 samples")

@@ -182,6 +182,17 @@ def test_scan_best_approximation_small():
         n = 0
 
 
+def test_scan_rejects_non_adjacent_enclosure(monkeypatch):
+    # convergents m and m + 3 lie on opposite sides of x, so they enclose it,
+    # but their cross difference is a_{m+2} a_{m+3} + 1 = 5, not 1
+    cf = constant_cf(2)
+    a, b = cf.convergent(8).value, cf.convergent(11).value
+    assert (a - float(cf)) * (b - float(cf)) < 0
+    monkeypatch.setattr(cf, "enclosure_at", lambda m: RationalInterval(min(a, b), max(a, b)))
+    with pytest.raises(ValueError, match="consecutive convergents"):
+        RotationScan(cf, 50)
+
+
 def _oracle_in_thinning(cf, q, c=Fraction(1), m=40):
     """Independent decision of |q.x| * q <= c from one very tight enclosure."""
     import math

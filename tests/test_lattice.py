@@ -13,6 +13,7 @@ from latdir.lattice import (CandidateBudgetExceeded, DegenerateRational,
                             count_approximates, count_region, enumerate_in_box,
                             g_flow, lattice_from_x, region_contains,
                             region_volume, shell_count, thinning_contains)
+from latdir.siegel import haar_rotation
 from latdir.sphere import Cap, Hemisphere, SignSet, full_sphere
 
 Z2 = Lattice(np.eye(2))
@@ -137,6 +138,40 @@ def test_enumerate_budget():
         enumerate_in_box(Z2, [-500.0, -500.0], [500.0, 500.0], budget=100)
 
 
+def test_enumerate_budget_counts_huge_box_exactly():
+    # (2e12 + 1)^2 candidates: an int64 product would wrap, the exact count trips
+    with pytest.raises(CandidateBudgetExceeded):
+        enumerate_in_box(Z2, [-1e12, -1e12], [1e12, 1e12])
+
+
+@pytest.mark.parametrize("basis", [[[1.0, 2.0], [2.0, 4.0]],
+                                   [[1.0, 0.0], [0.0, 0.0]],
+                                   [[1.0, 1.0], [1.0, 1.0 + 2.0**-45]],
+                                   [[1.0, 0.0], [0.0, math.nan]]])
+def test_enumerate_degenerate_basis_raises_budget(basis):
+    flat = Lattice(np.array(basis), check=False)
+    with pytest.raises(CandidateBudgetExceeded):
+        enumerate_in_box(flat, [-1.0, -1.0], [1.0, 1.0])
+
+
+def test_enumerate_flowed_basis_needs_few_candidates_at_t10():
+    # the reduced box stays at a few hundred candidates where the unreduced
+    # needle preimage held ~10^8
+    lo, hi = RegionSpec("R", 2, T=1.0, c=1.0, eps=0.1).bounding_box()
+    g = g_flow(10.0, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        moved = Lattice(g @ haar_rotation(3, rng), check=False)
+        pts, ns = enumerate_in_box(moved, lo, hi, budget=5000, return_coords=True)
+        assert len(pts) > 0 and np.all(np.any(ns != 0, axis=1))
+
+
+def test_enumerate_returns_lexicographic_coords():
+    lat = random_unimodular(np.random.default_rng(5), 3)
+    _, ns = enumerate_in_box(lat, [-3.0, -3.0, -3.0], [3.0, 3.0, 3.0], return_coords=True)
+    assert len(ns) > 1 and list(map(tuple, ns.tolist())) == sorted(map(tuple, ns.tolist()))
+
+
 def test_enumerate_rejects_bad_box():
     with pytest.raises(ValueError):
         enumerate_in_box(Z2, [0.0, 0.0], [-1.0, 1.0])
@@ -165,6 +200,26 @@ def test_enumerate_exhaustive_vs_brute_force(seed):
         mask = np.all(w >= lo, axis=1) & np.all(w <= hi, axis=1) & np.any(grid != 0, axis=1)
         want = sorted(map(tuple, np.round(w[mask], 9)))
         assert got == want
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.floats(0.0, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_enumerate_invariant_under_basis_change(seed, d, t):
+    # B and B V span one lattice: the points agree up to rounding at the box edge
+    rng = np.random.default_rng(seed)
+    B = g_flow(t, d) @ haar_rotation(d + 1, rng)
+    V = random_unimodular(rng, d + 1).basis.astype(np.int64)
+    lo, hi = RegionSpec("R", d, T=1.0, c=1.0, eps=0.1).bounding_box()
+    _, ns = enumerate_in_box(Lattice(B, check=False), lo, hi, return_coords=True)
+    _, ms = enumerate_in_box(Lattice(B @ V, check=False), lo, hi, return_coords=True)
+    a = set(map(tuple, ns.tolist()))
+    b = set(map(tuple, (ms @ V.T).tolist()))
+    V_inv = np.rint(np.linalg.inv(V)).astype(np.int64)
+    for n in a ^ b:
+        n = np.array(n)
+        p = B @ n
+        rounding = 32 * np.finfo(float).eps * (np.abs(B) @ (np.abs(n) + np.abs(V) @ np.abs(V_inv @ n)))
+        assert np.any((np.abs(p - lo) <= rounding) | (np.abs(p - hi) <= rounding))
 
 
 def test_enumerate_skewed_needle_preimage():
