@@ -6,7 +6,7 @@ continued-fraction counterexamples where the directions are biased.
 
 from .contfrac import (CFNumber, Convergent, RationalInterval, RotationScan,
                        biased_elements, biased_number, cf_product, constant_cf,
-                       convergents, enclose, error_ratio_bounds, rotation_value)
+                       error_ratio_bounds, rotation_value)
 from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
                       count_region, enumerate_in_box, g_flow, lattice_from_x,
                       region_contains, region_volume, shell_count,

@@ -270,6 +270,10 @@ ROW_FULL_CAP = 512      # emit every candidate row when a_{n+1} is this small
 ROW_TOTAL_CAP = 500_000
 
 
+class RowCapExceeded(RuntimeError):
+    """The census rows would pass ROW_TOTAL_CAP; rows are never truncated."""
+
+
 def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool = True) -> CensusReport:
     """Levels 0..n_max of the biased census, exactly.
 
@@ -362,15 +366,18 @@ def _materialize_rows(levels, ctx) -> list:
                     for m in range(a, b + 1):
                         q = level.q_n * m + cls.r
                         rows.append(CensusRow(level.n, cls.label, cls.r, m, q, True, s))
-                        if len(rows) > ROW_TOTAL_CAP:
-                            return rows
+                        _check_row_cap(rows)
                     if b + 1 <= cls.m_hi:
                         q = level.q_n * (b + 1) + cls.r
                         rows.append(CensusRow(level.n, cls.label, cls.r, b + 1, q,
                                               False, solver.sign(b + 1)))
-            if len(rows) > ROW_TOTAL_CAP:
-                return rows
+            _check_row_cap(rows)
     return rows
+
+
+def _check_row_cap(rows: list) -> None:
+    if len(rows) > ROW_TOTAL_CAP:
+        raise RowCapExceeded(f"census rows exceed ROW_TOTAL_CAP = {ROW_TOTAL_CAP}")
 
 
 def brute_force_in_R(cf: CFNumber, q_max: int, c=1) -> list[tuple[int, int]]:

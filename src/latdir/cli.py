@@ -6,8 +6,8 @@ whole acceptance suite.
     latdir run thm3 --d 2 --eps 0.1 --t 6 --M 2000 --A hemisphere:1,0 --seed 3
     latdir verify [--quick] [--seed N]
 
-Exit codes: 0 ok, 2 config error, 3 candidate budget exceeded, 4 acceptance
-failure.  Reports are JSON (big integers as decimal strings) plus CSV traces;
+Exit codes: 0 ok, 2 config error, 3 candidate budget or census row cap
+exceeded, 4 acceptance failure.  Reports are JSON (big integers as decimal strings) plus CSV traces;
 identical configs and seeds give byte-identical reports up to the timestamp.
 """
 
@@ -29,6 +29,7 @@ from . import acceptance as acc
 from . import experiments as ex
 from . import lattice as lm
 from . import siegel as sg
+from .census import RowCapExceeded
 from .sphere import parse_direction_set
 
 EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_ACCEPTANCE = 0, 2, 3, 4
@@ -210,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                     threads=args.threads, budget=args.budget, out=args.out)
     try:
         return run(cfg)
-    except lm.CandidateBudgetExceeded as e:
+    except (lm.CandidateBudgetExceeded, RowCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, lm.UnboundedRegion, ex.EmptyDenominator) as e:

@@ -228,16 +228,6 @@ def cf_product(x1: CFNumber, x2: CFNumber) -> CFNumber:
     return CFNumber(lambda n: x1.element(n) if n % 2 == 1 else x2.element(n))
 
 
-# -- module-level operation wrappers ----------------------------------------
-
-def convergents(cf: CFNumber, n_max: int) -> list[Convergent]:
-    return cf.convergents(n_max)
-
-
-def enclose(cf: CFNumber, width_bound) -> RationalInterval:
-    return cf.enclose(width_bound)
-
-
 def _refine(cf: CFNumber, decide: Callable[[RationalInterval], object], *, max_terms: int = PREFIX_CAP):
     """Run `decide` on successively tighter enclosures until it returns non-None."""
     m = 8
@@ -248,11 +238,6 @@ def _refine(cf: CFNumber, decide: Callable[[RationalInterval], object], *, max_t
         if m >= max_terms:
             raise PrefixCapExceeded(f"undecided after {max_terms} elements (effectively rational input?)")
         m *= 2
-
-
-def linear_form_interval(cf: CFNumber, q: int, p: int, m: int) -> RationalInterval:
-    """Exact enclosure of q*x - p from the prefix-m convergent pair."""
-    return cf.enclosure_at(m).scaled(q).shifted(-p)
 
 
 def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
@@ -321,33 +306,6 @@ def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> 
         return None
 
     return _refine(cf, decide, max_terms=max_terms)
-
-
-def compare_abs_rotations(cf: CFNumber, q1: int, q2: int, *, max_terms: int = PREFIX_CAP) -> int:
-    """Exact comparison of |q1.x| vs |q2.x|: -1, 0 (only if q1 == q2), or +1."""
-    if q1 == q2:
-        return 0
-
-    def decide(iv: RationalInterval):
-        a = _abs_rep(iv, q1)
-        b = _abs_rep(iv, q2)
-        if a is None or b is None:
-            return None
-        if a.hi < b.lo:
-            return -1
-        if b.hi < a.lo:
-            return 1
-        return None
-
-    return _refine(cf, decide, max_terms=max_terms)
-
-
-def _abs_rep(iv: RationalInterval, q: int) -> RationalInterval | None:
-    lo, hi = q * iv.lo, q * iv.hi
-    r = math.floor(lo + HALF)
-    if math.floor(hi + HALF) != r:
-        return None
-    return RationalInterval(lo - r, hi - r).abs()
 
 
 class _Ambiguous(Exception):

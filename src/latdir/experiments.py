@@ -257,7 +257,3 @@ def nonminimal_experiment(d: int, x_base, T: float, C: float | None = None,
                       "probe_cap_hits_large_q": cap_hits_large if probe_cap is not None else None}
     return report
 
-
-# aliases matching the CLI experiment ids
-thm1_experiment = direction_frequency_experiment
-birkhoff_experiment = shell_average_experiment

@@ -11,7 +11,10 @@ enumerator and then filtered by the region predicate, with an exact-rational
 recheck for points that graze a constraint boundary in floating point.  The
 enumerator LLL-reduces the basis first and scans a plain integer box in the
 reduced coordinates, so its cost does not grow with the condition number of
-a flowed basis g_t k B.
+a flowed basis g_t k B.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
+approximates and shell counts) go through the same enumerator: the q-window
+is cut into geometric shells, and each shell, flowed by g_s, fills one fixed
+box (Dani's correspondence), so a count up to T costs O(log T) boxes.
 """
 
 from __future__ import annotations
@@ -391,6 +394,50 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
 
 
 # ---------------------------------------------------------------------------
+# horospherical candidates through flowed shells
+
+SHELL_RATIO = 16  # q-shells e <= q < 16 e; ratio 2 costs more calls, 64 a bigger box
+
+
+def _horo_candidates(x: np.ndarray, q_lo: int, q_hi: int, C: float,
+                     budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Integer (q, p) with q_lo <= q <= q_hi and |q x - p|_inf <= C q^{-1/d},
+    sorted by (q, p); a few points just beyond the radius may come along.
+
+    Dani's correspondence: the geometric shell e <= q < 16 e of h_x Z^{d+1},
+    flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the fixed box
+    |v_1| <= C, 1 <= v_2 < 16, so each shell is one `enumerate_in_box` call
+    and the work is O(log T) boxes.  The box is widened by the rounding error
+    of the flowed float coordinates and of the callers' q x - p and
+    C q^{-1/d}, bounded like the margin in `enumerate_in_box`, so no point a
+    float predicate on q x - p accepts is dropped by the box filter.  The
+    q-window is cut on the exact integer q.
+    """
+    d = x.shape[0]
+    qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros((0, d), dtype=np.int64)]
+    e = q_lo
+    while e <= q_hi:
+        top = min(e * SHELL_RATIO - 1, q_hi)
+        a = e ** (1.0 / d)
+        B = np.diag([a] * d + [1.0 / e])
+        B[:d, d] = a * x
+        n_abs = np.append(np.abs(x) * top + C + 1.0, top)
+        margin = 4 * (d + 1) * np.finfo(float).eps * (np.abs(B) @ n_abs + C)
+        r = C + margin[:d]
+        box_lo = np.append(-r, (e - 0.5) / e)
+        box_hi = np.append(r, (top + 0.5) / e)
+        _, ns = enumerate_in_box(Lattice(B, check=False), box_lo, box_hi,
+                                 budget=budget, return_coords=True)
+        keep = (ns[:, d] >= e) & (ns[:, d] <= top)
+        qp = np.column_stack([ns[keep, d], -ns[keep, :d]])
+        qp = qp[np.lexsort(qp.T[::-1])]
+        qs.append(qp[:, 0])
+        ps.append(qp[:, 1:])
+        e *= SHELL_RATIO
+    return np.concatenate(qs), np.concatenate(ps)
+
+
+# ---------------------------------------------------------------------------
 # counting
 
 @dataclass
@@ -421,55 +468,29 @@ def _count_from_points(points, spec, exact_src=None, want_witnesses=False) -> Co
     return res
 
 
-def _horo_windows(x: np.ndarray, qs: np.ndarray, spec: RegionSpec):
-    """Integer p-window per coordinate for each q: p in [ceil(qx - rho), floor(qx + rho)]."""
-    rho = (spec.c / qs.astype(float)) ** (1.0 / spec.d)
-    centers = qs[:, None].astype(float) * x[None, :]
-    los = np.ceil(centers - rho[:, None] - 1e-12).astype(np.int64)
-    his = np.floor(centers + rho[:, None] + 1e-12).astype(np.int64)
-    return los, his
-
-
-def _count_horospherical(lat: Lattice, spec: RegionSpec, want_witnesses: bool) -> CountResult:
-    x = np.asarray(lat.x, dtype=float)
-    lo, hi, lo_strict = spec.v2_window()
-    q_lo = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
-    q_hi = math.floor(hi)
-    if q_lo > q_hi:
-        return CountResult(0, 0 if spec.A is not None else None)
-    qs = np.arange(q_lo, q_hi + 1, dtype=np.int64)
-    los, his = _horo_windows(x, qs, spec)
-    widths = np.maximum(his - los + 1, 0)
-    per_q = np.prod(widths, axis=1)
-    live = per_q > 0
-    if not np.any(live):
-        return CountResult(0, 0 if spec.A is not None else None)
-
-    # expand candidate (p, q) pairs, then filter with the authoritative predicate
-    points = []
-    coords = []
-    for qi in np.flatnonzero(live):
-        q = int(qs[qi])
-        ranges = [np.arange(los[qi, j], his[qi, j] + 1) for j in range(spec.d)]
-        grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, spec.d)
-        v1 = q * x[None, :] - grid
-        pts = np.column_stack([v1, np.full(len(grid), float(q))])
-        points.append(pts)
-        coords.append(np.column_stack([-grid, np.full(len(grid), q, dtype=np.int64)]))
-    points = np.vstack(points)
-    coords = np.vstack(coords)
-    exact_src = (coords, lat.exact_rows())
-    return _count_from_points(points, spec, exact_src=exact_src, want_witnesses=want_witnesses)
-
-
 def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
                  want_witnesses: bool = False) -> CountResult:
-    """#(lattice points in the region), split into total / in_A / degenerate."""
+    """#(lattice points in the region), split into total / in_A / degenerate.
+
+    A horospherical lattice is counted shell by shell through the flowed
+    lattice (`_horo_candidates`); any other lattice by one reduced box around
+    the region.  Either way the points are classified by the same predicate,
+    and `budget` caps each enumerated box.
+    """
     spec.require_bounded()
     if lat.dim != spec.d + 1:
         raise ValueError("lattice / region dimension mismatch")
     if lat.is_horospherical:
-        return _count_horospherical(lat, spec, want_witnesses)
+        x = np.asarray(lat.x, dtype=float)
+        lo, hi, lo_strict = spec.v2_window()
+        q_lo = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
+        q, p = _horo_candidates(x, q_lo, math.floor(hi), spec.c ** (1.0 / spec.d), budget)
+        if not len(q):  # no candidate at all: no witness list, unlike the generic path
+            return CountResult(0, 0 if spec.A is not None else None)
+        pts = np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)])
+        ns = np.column_stack([-p, q])
+        return _count_from_points(pts, spec, exact_src=(ns, lat.exact_rows()),
+                                  want_witnesses=want_witnesses)
     box_lo, box_hi = spec.bounding_box()
     pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
     pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget, return_coords=True)
@@ -496,8 +517,11 @@ def count_approximates(x, T: float, norm: str = "sup", C: float | None = None,
                        A: DirectionSet | None = None, *, want_witnesses: bool = False) -> CountResult:
     """Count Dirichlet approximates (p, q), 0 < q <= T, ||q x - p|| < C q^{-1/d}.
 
-    For a CFNumber input (d = 1) every check is exact; float inputs use a
-    vectorized binary-float path.  The inequality is strict, unlike regions.
+    For a CFNumber input (d = 1) every check is exact.  Float inputs take
+    their candidates from the flowed shells of h_x Z^{d+1}, O(log T) box
+    enumerations, and test the binary-float q x - p against C q^{-1/d}, so T
+    is limited by float resolution, not memory: at d = 1 ulp(q x) reaches C/q
+    near T = 1e8.  The inequality is strict, unlike regions.
     """
     if C is None:
         C = 1.0
@@ -569,68 +593,19 @@ def _extra_p_signs(cf: CFNumber, q: int, C: Fraction) -> list[int]:
 
 def _count_approx_float(x: np.ndarray, T: int, C: float, A, norm: str, want_witnesses) -> CountResult:
     d = x.shape[0]
-    qs = np.arange(1, T + 1, dtype=np.int64)
-    rho = C * qs.astype(float) ** (-1.0 / d)
-
-    total = 0
-    in_A = 0 if A is not None else None
-    degenerate = 0
-    wits = [] if want_witnesses else None
-
-    # bulk of q's admit only p in {floor(qx), floor(qx)+1} per coordinate
-    small = rho >= 1.0
-    for q in qs[small]:
-        q = int(q)
-        r = C * q ** (-1.0 / d)
-        ranges = [np.arange(math.floor(q * xj - r), math.floor(q * xj + r) + 2) for xj in x]
-        grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-        v1 = q * x[None, :] - grid
-        total, in_A, degenerate = _accumulate_approx(v1, q, r, norm, A, total, in_A, degenerate, wits)
-
-    big_qs = qs[~small]
-    if len(big_qs):
-        centers = big_qs[:, None] * x[None, :]
-        base = np.floor(centers).astype(np.int64)
-        n_off = 2**d
-        offs = np.stack(np.meshgrid(*([np.arange(2)] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        v1 = centers[:, None, :] - (base[:, None, :] + offs[None, :, :])  # (Q, 2^d, d)
-        nrm = np.max(np.abs(v1), axis=2) if norm == "sup" else np.sqrt(np.sum(v1 * v1, axis=2))
-        hit = nrm < rho[~small][:, None]
-        qi, oi = np.nonzero(hit)
-        flat_v1 = v1[qi, oi]
-        flat_q = big_qs[qi]
-        flat_nrm = nrm[qi, oi]
-        total += len(qi)
-        deg = flat_nrm == 0.0
-        if np.any(deg):
-            if A is not None:
-                raise DegenerateRational(f"q x - p = 0 at q = {flat_q[deg][0]} with a direction set attached")
-            degenerate += int(np.count_nonzero(deg))
-        if A is not None and len(qi):
-            live = ~deg
-            units = flat_v1[live] / flat_nrm[live, None]
-            in_A += int(np.count_nonzero(A.contains_many(units)))
-        if wits is not None:
-            for qq, vv, nn in zip(flat_q, flat_v1, flat_nrm):
-                wits.append((int(qq), tuple(vv.tolist()), tuple((vv / nn).tolist()) if nn else None))
-    return CountResult(total, in_A, degenerate, wits)
-
-
-def _accumulate_approx(v1, q, rho, norm, A, total, in_A, degenerate, wits):
-    nrm = np.max(np.abs(v1), axis=1) if norm == "sup" else np.sqrt(np.sum(v1 * v1, axis=1))
-    hit = nrm < rho
-    total += int(np.count_nonzero(hit))
-    deg = hit & (nrm == 0.0)
-    if np.any(deg):
-        if A is not None:
-            raise DegenerateRational(f"q x - p = 0 at q = {q} with a direction set attached")
-        degenerate += int(np.count_nonzero(deg))
+    q, p = _horo_candidates(x, 1, T, C)
+    v1 = q[:, None] * x[None, :] - p
+    nrm = _v1_norms(v1, norm)
+    hit = nrm < C * q.astype(float) ** (-1.0 / d)
+    q, v1, nrm = q[hit], v1[hit], nrm[hit]
+    deg = nrm == 0.0
+    if np.any(deg) and A is not None:
+        raise DegenerateRational(f"q x - p = 0 at q = {q[deg][0]} with a direction set attached")
+    in_A = None
     if A is not None:
-        live = hit & (nrm > 0.0)
-        if np.any(live):
-            units = v1[live] / nrm[live, None]
-            in_A += int(np.count_nonzero(A.contains_many(units)))
-    if wits is not None:
-        for vv, nn in zip(v1[hit], nrm[hit]):
-            wits.append((int(q), tuple(vv.tolist()), tuple((vv / nn).tolist()) if nn else None))
-    return total, in_A, degenerate
+        in_A = int(np.count_nonzero(A.contains_many(v1 / nrm[:, None]))) if len(q) else 0
+    wits = None
+    if want_witnesses:
+        wits = [(int(qq), tuple(vv.tolist()), tuple((vv / nn).tolist()) if nn else None)
+                for qq, vv, nn in zip(q, v1, nrm)]
+    return CountResult(len(q), in_A, int(np.count_nonzero(deg)), wits)

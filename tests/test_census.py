@@ -115,3 +115,16 @@ def test_census_rejects_colliding_remainders():
 def test_level9_is_cheap_and_matches_bound():
     rep = cns.build_census(9, include_rows=False)
     assert rep.l_values[9] == 100_000  # isqrt(10^10 + small fraction)
+
+
+@pytest.mark.parametrize("cap", [100, 1100, 1279])  # full levels, then the big level 5
+def test_row_cap_raises_instead_of_truncating(monkeypatch, cap):
+    assert len(cns.build_census(5).rows) == 1280
+    monkeypatch.setattr(cns, "ROW_TOTAL_CAP", cap)
+    with pytest.raises(cns.RowCapExceeded):
+        cns.build_census(5)
+
+
+def test_row_cap_at_the_row_count_passes(monkeypatch):
+    monkeypatch.setattr(cns, "ROW_TOTAL_CAP", 1280)
+    assert len(cns.build_census(5).rows) == 1280

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from latdir import cli
+from latdir import census, cli
 from latdir.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, RunConfig
 
 
@@ -45,6 +45,12 @@ def test_run_biased_census_csv(tmp_path):
     lines = (out / "biased-census-rows.csv").read_text().splitlines()
     assert lines[0] == "n,r_label,r,m,q,in_R,sign"
     assert len(lines) > 10
+
+
+def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(census, "ROW_TOTAL_CAP", 100)
+    rc = cli.main(["run", "biased-census", "--nmax", "3", "--out", str(tmp_path / "census")])
+    assert rc == EXIT_BUDGET
 
 
 def test_run_thm3_and_budget_exit(tmp_path):

@@ -20,13 +20,13 @@ def cf_from_list(elems):
 # -- convergents -------------------------------------------------------------
 
 def test_convergents_constant_four():
-    cs = cfm.convergents(constant_cf(4), 3)
+    cs = constant_cf(4).convergents(3)
     assert [(c.p, c.q) for c in cs] == [(0, 1), (1, 4), (4, 17), (17, 72)]
 
 
 def test_convergent_zero_is_conventional():
-    assert (cfm.convergents(constant_cf(9), 0)[0].p,
-            cfm.convergents(constant_cf(9), 0)[0].q) == (0, 1)
+    assert (constant_cf(9).convergents(0)[0].p,
+            constant_cf(9).convergents(0)[0].q) == (0, 1)
 
 
 def test_biased_q4():
@@ -72,18 +72,18 @@ def test_denominators_nondecreasing():
 # -- enclosures --------------------------------------------------------------
 
 def test_enclose_width_tenth():
-    iv = cfm.enclose(constant_cf(4), Fraction(1, 10))
+    iv = constant_cf(4).enclose(Fraction(1, 10))
     assert (iv.lo, iv.hi) == (Fraction(4, 17), Fraction(1, 4))
     assert iv.width == Fraction(1, 68)
 
 
 def test_enclose_trivial_width_one():
-    iv = cfm.enclose(biased_number(), 1)
+    iv = biased_number().enclose(1)
     assert 0 <= iv.lo <= iv.hi <= 1
 
 
 def test_enclose_tiny_width_forces_big_denominators():
-    iv = cfm.enclose(biased_number(), Fraction(1, 10**9))
+    iv = biased_number().enclose(Fraction(1, 10**9))
     assert iv.lo.denominator * iv.hi.denominator >= 10**9
     assert iv.width <= Fraction(1, 10**9)
 
