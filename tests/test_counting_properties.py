@@ -51,6 +51,10 @@ def test_horospherical_shells_tile_P(x, N, c, norm, with_A):
         assert sum(s.in_A for s in shells) == direct.in_A
 
 
+def _v1_norm(v, norm):
+    return max(abs(c) for c in v) if norm == "sup" else math.sqrt(sum(c * c for c in v))
+
+
 def oracle_approximates(x: list, T: int, C: float, norm: str) -> list:
     """(q, q x - p) for every q <= T and every p near q x, with the float
     predicate of count_approximates."""
@@ -62,8 +66,7 @@ def oracle_approximates(x: list, T: int, C: float, norm: str) -> list:
         windows = [range(math.floor(q * xj - r) - 1, math.floor(q * xj + r) + 2) for xj in x]
         for p in itertools.product(*windows):
             v = tuple(q * xj - pj for xj, pj in zip(x, p))
-            n = max(abs(c) for c in v) if norm == "sup" else math.sqrt(sum(c * c for c in v))
-            if n < r:
+            if _v1_norm(v, norm) < r:
                 hits.append((q, v))
     return hits
 
@@ -79,10 +82,6 @@ def _check_against_oracle(x, T, C, norm):
        C=st.sampled_from([0.5, 1.0, 2.5]), norm=norms)
 def test_approximates_match_brute_force(x, T, C, norm):
     _check_against_oracle(x, T, C, norm)
-
-
-def _v1_norm(v, norm):
-    return max(abs(c) for c in v) if norm == "sup" else math.sqrt(sum(c * c for c in v))
 
 
 def _graze(q0, p0, u, rho, inside):
