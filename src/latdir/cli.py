@@ -127,8 +127,8 @@ def run(cfg: RunConfig) -> int:
         _write_report(cfg, obj, rows, "thm3-trace")
         print(f"ratio = {r.ratio:.4f} +- {r.stderr:.4f} (vol(A) = {r.vol_reference})")
     elif cfg.experiment == "biased-census":
-        rep = ex.biased_census(cfg.nmax)
-        rows = [r.to_obj() for r in rep._census.rows]
+        rep, census = ex.biased_census(cfg.nmax)
+        rows = [r.to_obj() for r in census.rows]
         _write_report(cfg, rep.to_obj(), rows, "biased-census-rows")
         print("L_n:", rep.summary["L"], "thresholds:", rep.summary["thresholds"])
     elif cfg.experiment == "biased-ratio":
@@ -176,23 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run one experiment and write its report")
     runp.add_argument("experiment", choices=EXPERIMENTS)
-    runp.add_argument("--d", type=int, default=1, help="ambient dimension d (targets live in R^d)")
-    runp.add_argument("--T", type=float, default=1e4, help="denominator bound")
-    runp.add_argument("--n", type=int, default=100, help="number of sampled targets (thm1)")
-    runp.add_argument("--N", type=int, default=14, help="number of dyadic shells (birkhoff)")
-    runp.add_argument("--nmax", type=int, default=7, help="largest census level (odd, <= 9)")
-    runp.add_argument("--eps", default="0.1", help="window parameter eps (exact fraction or decimal string)")
-    runp.add_argument("--t", type=float, default=6.0, help="flow time (thm3)")
-    runp.add_argument("--M", type=int, default=2000, help="Monte Carlo samples (thm3)")
-    runp.add_argument("--A", default="", help="direction set: sign:-1 | hemisphere:1,0 | cap:1,0:0.5 | complement:...")
-    runp.add_argument("--norm", default="sup", choices=("sup", "euclidean"))
-    runp.add_argument("--c", type=float, default=1.0, help="thinning constant")
-    runp.add_argument("--C", type=float, default=0.0, help="Dirichlet constant (0 = default)")
-    runp.add_argument("--x", type=float, default=-1.0, help="explicit target (birkhoff/nonminimal)")
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--threads", type=int, default=1, help="worker cap for sampling")
-    runp.add_argument("--budget", type=int, default=0, help="candidate budget override (also env LATDIR_BUDGET)")
-    runp.add_argument("--out", default="latdir-out", help="output directory")
+    runp.add_argument("--d", type=int, help="ambient dimension d (targets live in R^d)")
+    runp.add_argument("--T", type=float, help="denominator bound")
+    runp.add_argument("--n", type=int, help="number of sampled targets (thm1)")
+    runp.add_argument("--N", type=int, help="number of dyadic shells (birkhoff)")
+    runp.add_argument("--nmax", type=int, help="largest census level (odd, <= 9)")
+    runp.add_argument("--eps", help="window parameter eps (exact fraction or decimal string)")
+    runp.add_argument("--t", type=float, help="flow time (thm3)")
+    runp.add_argument("--M", type=int, help="Monte Carlo samples (thm3)")
+    runp.add_argument("--A", help="direction set: sign:-1 | hemisphere:1,0 | cap:1,0:0.5 | complement:...")
+    runp.add_argument("--norm", choices=("sup", "euclidean"))
+    runp.add_argument("--c", type=float, help="thinning constant")
+    runp.add_argument("--C", type=float, help="Dirichlet constant (0 = default)")
+    runp.add_argument("--x", type=float, help="explicit target (birkhoff/nonminimal)")
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--threads", type=int, help="worker cap for sampling")
+    runp.add_argument("--budget", type=int, help="candidate budget override (also env LATDIR_BUDGET)")
+    runp.add_argument("--out", help="output directory")
+    runp.set_defaults(**{f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "experiment"})
 
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("--quick", action="store_true", help="skip the slow statistical criteria and the level-9 census")
@@ -205,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return verify(args.quick, args.seed, args.out)
-    cfg = RunConfig(experiment=args.experiment, d=args.d, T=args.T, n=args.n, N=args.N,
-                    nmax=args.nmax, eps=args.eps, t=args.t, M=args.M, A=args.A,
-                    norm=args.norm, c=args.c, C=args.C, x=args.x, seed=args.seed,
-                    threads=args.threads, budget=args.budget, out=args.out)
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     try:
         return run(cfg)
     except (lm.CandidateBudgetExceeded, RowCapExceeded) as e:

@@ -149,8 +149,10 @@ def shell_average_experiment(lat_or_x, N_max: int, c: float = 1.0,
 # ---------------------------------------------------------------------------
 # the biased construction: exact census and window ratios
 
-def biased_census(n_max: int, *, include_rows: bool = True) -> ExperimentReport:
-    """Exact division-algorithm census of the biased number up to level n_max."""
+def biased_census(n_max: int, *, include_rows: bool = True
+                  ) -> tuple[ExperimentReport, census_mod.CensusReport]:
+    """Exact division-algorithm census of the biased number up to level n_max:
+    the report, and the census itself for its rows."""
     rep = census_mod.build_census(n_max, include_rows=include_rows)
     report = ExperimentReport("biased-census", {"n_max": n_max})
     for lv in rep.levels:
@@ -168,12 +170,10 @@ def biased_census(n_max: int, *, include_rows: bool = True) -> ExperimentReport:
         "thresholds": [str(t) for t in rep.thresholds],
         "rows": len(rep.rows),
     }
-    report._census = rep  # stashed for CSV emission / downstream ratio reuse
-    return report
+    return report, rep
 
 
-def biased_ratio(T_list=None, A: DirectionSet | None = None, eps=0, n_max: int = 7,
-                 _census: census_mod.CensusReport | None = None) -> ExperimentReport:
+def biased_ratio(T_list=None, A: DirectionSet | None = None, eps=0, n_max: int = 7) -> ExperimentReport:
     """Exact in-window sign ratios N(A, eps, T)/N(eps, T) for the biased number.
 
     The window is [max(1, ceil(eps T)), T]: the q >= 1 convention sidesteps
@@ -185,7 +185,7 @@ def biased_ratio(T_list=None, A: DirectionSet | None = None, eps=0, n_max: int =
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    rep = _census or census_mod.build_census(n_max, include_rows=False)
+    rep = census_mod.build_census(n_max, include_rows=False)
     thresholds = T_list if T_list is not None else rep.thresholds
     if not thresholds:
         raise EmptyDenominator("no thresholds available")

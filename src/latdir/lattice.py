@@ -7,11 +7,13 @@ The regions of interest pinch around the last coordinate axis:
     window "R"          eps*T <= v_2 <= T
 
 Counting is exact-by-construction: candidates are generated by an exhaustive
-enumerator and then filtered by the region predicate, with an exact-rational
-recheck for points that graze a constraint boundary in floating point.  The
-enumerator LLL-reduces the basis first and scans a plain integer box in the
-reduced coordinates, so its cost does not grow with the condition number of
-a flowed basis g_t k B.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
+enumerator and then filtered by the one region predicate, `_classify`, which
+re-decides points grazing the scalar boundary in exact rationals from their
+integer coordinates and the basis.  Lattice counts here and the Siegel
+transforms of `siegel.RegionIndicator` both go through it.  The enumerator
+LLL-reduces the basis first and scans a plain integer box in the reduced
+coordinates, so its cost does not grow with the condition number of a flowed
+basis g_t k B.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
 approximates and shell counts) go through the same enumerator: the q-window
 is cut into geometric shells, and each shell, flowed by g_s, fills one fixed
 box (Dani's correspondence), so a count up to T costs O(log T) boxes.
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
-from .contfrac import CFNumber, PREFIX_CAP, PrefixCapExceeded, RotationScan
+from .contfrac import HALF, CFNumber, RotationScan, _refine
 from .sphere import DirectionSet
 
 GRAZE_TOL = 1e-9
@@ -180,11 +182,13 @@ def _v1_norms(v1: np.ndarray, norm: str) -> np.ndarray:
     return np.sqrt(np.sum(v1 * v1, axis=1))
 
 
-def _classify(points: np.ndarray, spec: RegionSpec, exact_src=None):
+def _classify(points: np.ndarray, spec: RegionSpec, coords=None, lat: Lattice | None = None):
     """Masks (scalar+window ok, degenerate v1, in A) for an (N, d+1) array.
 
-    `exact_src` optionally supplies (integer coords, exact basis rows) so that
-    boundary-grazing points can be resolved in exact rational arithmetic.
+    This is the one region predicate.  When the integer coordinates `coords`
+    of the points on `lat` are given, points that graze the scalar boundary
+    in floating point are re-decided in exact rational arithmetic from the
+    lattice basis (binary floats are exact rationals).
     """
     d = spec.d
     v1 = points[:, :d]
@@ -196,20 +200,20 @@ def _classify(points: np.ndarray, spec: RegionSpec, exact_src=None):
     ok &= (v2 > lo) if lo_strict else (v2 >= lo)
     ok &= v2 <= hi
 
-    graze = np.abs(slack) < GRAZE_TOL * max(spec.c, 1.0)
-    if exact_src is not None and np.any(graze):
-        ns, rows = exact_src
+    graze = np.flatnonzero(np.abs(slack) < GRAZE_TOL * max(spec.c, 1.0))
+    if lat is not None and len(graze):
+        rows = lat.exact_rows()
         c2 = Fraction(spec.c) ** 2
-        for i in np.flatnonzero(graze):
-            n = [int(v) for v in ns[i]]
-            coords = [sum(r[j] * n[j] for j in range(len(n))) for r in rows]
-            ev2 = coords[d]
+        wlo, whi = Fraction(lo), Fraction(hi)
+        for i in graze:
+            n = [int(v) for v in coords[i]]
+            exact = [sum(r[j] * n[j] for j in range(len(n))) for r in rows]
+            ev2 = exact[d]
             if spec.norm == "sup":
-                scalar_ok = max(abs(cc) for cc in coords[:d]) ** (2 * d) * ev2**2 <= c2
+                scalar_ok = max(abs(cc) for cc in exact[:d]) ** (2 * d) * ev2**2 <= c2
             else:
-                scalar_ok = sum(cc * cc for cc in coords[:d]) ** d * ev2**2 <= c2
-            wlo, whi, strict = (Fraction(lo), Fraction(hi), lo_strict)
-            window_ok = (ev2 > wlo if strict else ev2 >= wlo) and ev2 <= whi
+                scalar_ok = sum(cc * cc for cc in exact[:d]) ** d * ev2**2 <= c2
+            window_ok = (ev2 > wlo if lo_strict else ev2 >= wlo) and ev2 <= whi
             ok[i] = bool(scalar_ok and window_ok)
 
     degenerate = ok & (norms == 0.0)
@@ -457,8 +461,8 @@ class CountResult:
         return obj
 
 
-def _count_from_points(points, spec, exact_src=None, want_witnesses=False) -> CountResult:
-    ok, degenerate, in_A = _classify(points, spec, exact_src=exact_src)
+def _count_from_points(points, spec, coords, lat, want_witnesses=False) -> CountResult:
+    ok, degenerate, in_A = _classify(points, spec, coords, lat)
     total = int(np.count_nonzero(ok))
     res = CountResult(total=total, degenerate=int(np.count_nonzero(degenerate)))
     if spec.A is not None:
@@ -485,17 +489,13 @@ def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
         lo, hi, lo_strict = spec.v2_window()
         q_lo = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
         q, p = _horo_candidates(x, q_lo, math.floor(hi), spec.c ** (1.0 / spec.d), budget)
-        if not len(q):  # no candidate at all: no witness list, unlike the generic path
-            return CountResult(0, 0 if spec.A is not None else None)
         pts = np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)])
         ns = np.column_stack([-p, q])
-        return _count_from_points(pts, spec, exact_src=(ns, lat.exact_rows()),
-                                  want_witnesses=want_witnesses)
-    box_lo, box_hi = spec.bounding_box()
-    pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
-    pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget, return_coords=True)
-    return _count_from_points(pts, spec, exact_src=(ns, lat.exact_rows()),
-                              want_witnesses=want_witnesses)
+    else:
+        box_lo, box_hi = spec.bounding_box()
+        pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
+        pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget, return_coords=True)
+    return _count_from_points(pts, spec, ns, lat, want_witnesses)
 
 
 def shell_count(lat: Lattice, i: int, c: float = 0.0, d: int | None = None,
@@ -561,34 +561,24 @@ def _extra_p_signs(cf: CFNumber, q: int, C: Fraction) -> list[int]:
     rep - k (sign -1) and r - k by rep + k (sign +1), k = 1, 2, ...
     """
     bound = C / q
-    k_max = math.floor(bound + Fraction(1, 2))
-    m = 8
-    while True:
-        iv = cf.enclosure_at(m)
+    k_max = math.floor(bound + HALF)
+
+    def decide(iv):
         lo, hi = q * iv.lo, q * iv.hi
-        r = math.floor(lo + Fraction(1, 2))
-        if math.floor(hi + Fraction(1, 2)) == r:
-            rep_lo, rep_hi = lo - r, hi - r  # rep strictly inside
-            signs: list[int] = []
-            decided = True
-            for k in range(1, k_max + 1):
-                for err_lo, err_hi, s in (
-                    (k - rep_hi, k - rep_lo, -1),
-                    (k + rep_lo, k + rep_hi, 1),
-                ):
-                    if err_hi <= bound:
-                        signs.append(s)
-                    elif err_lo >= bound:
-                        pass
-                    else:
-                        decided = False
-                if not decided:
-                    break
-            if decided:
-                return signs
-        if m >= PREFIX_CAP:
-            raise PrefixCapExceeded("extra-approximate scan undecided")
-        m *= 2
+        r = math.floor(lo + HALF)
+        if math.floor(hi + HALF) != r:
+            return None
+        rep_lo, rep_hi = lo - r, hi - r  # rep strictly inside
+        signs: list[int] = []
+        for k in range(1, k_max + 1):
+            for err_lo, err_hi, s in ((k - rep_hi, k - rep_lo, -1), (k + rep_lo, k + rep_hi, 1)):
+                if err_hi <= bound:
+                    signs.append(s)
+                elif err_lo < bound:
+                    return None
+        return signs
+
+    return _refine(cf, decide)
 
 
 def _count_approx_float(x: np.ndarray, T: int, C: float, A, norm: str, want_witnesses) -> CountResult:

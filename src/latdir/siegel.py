@@ -4,18 +4,22 @@ The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
 it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
 stream per sample index so results are independent of execution order.
+Test functions see each point's integer coordinates and lattice, so the
+thinning-region indicator decides its points with the lattice counting
+predicate, exact recheck included, and `thm3_ratio` counts through
+`count_region` itself.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import (GRAZE_TOL, Lattice, RegionSpec, enumerate_in_box,
-                      g_flow, region_volume)
+from .lattice import (Lattice, RegionSpec, _classify, count_region,
+                      enumerate_in_box, g_flow, region_volume)
 from .sphere import DirectionSet
 
 ORTHO_TOL = 1e-10
@@ -37,7 +41,9 @@ class TestFunction:
     def integral(self) -> float:
         raise NotImplementedError
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, points: np.ndarray, coords=None, lat=None) -> np.ndarray:
+        """f at each point; `coords` (integer coordinates on `lat`) let an
+        indicator re-decide boundary-grazing points exactly."""
         raise NotImplementedError
 
 
@@ -62,7 +68,7 @@ class BoxIndicator(TestFunction):
     def integral(self) -> float:
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
-    def evaluate(self, points):
+    def evaluate(self, points, coords=None, lat=None):
         lo, hi = self.support_box()
         ok = np.all(points >= lo[None, :], axis=1) & np.all(points <= hi[None, :], axis=1)
         return ok.astype(float)
@@ -88,14 +94,20 @@ class RadialIndicator(TestFunction):
         from .sphere import ball_volume
         return ball_volume(self.dim, self.r_max) - ball_volume(self.dim, self.r_min)
 
-    def evaluate(self, points):
+    def evaluate(self, points, coords=None, lat=None):
         r = np.sqrt(np.sum(points * points, axis=1))
         return ((r >= self.r_min) & (r <= self.r_max)).astype(float)
 
 
 @dataclass(frozen=True)
 class RegionIndicator(TestFunction):
-    """Indicator of a bounded thinning-region slice R_{A,eps} (kind R, T = 1)."""
+    """Indicator of a bounded thinning-region slice R_{A,eps} (kind R, T = 1).
+
+    Points are decided by `lattice._classify`, the predicate `count_region`
+    uses: with a direction set the indicator is its in-A mask, without one its
+    region mask.  Given integer coordinates and a lattice, grazing points are
+    re-decided exactly, so a Siegel transform of it equals the region count.
+    """
 
     spec: RegionSpec
 
@@ -113,30 +125,9 @@ class RegionIndicator(TestFunction):
     def integral(self) -> float:
         return region_volume(self.spec)
 
-    def evaluate(self, points):
-        spec = self.spec
-        d = spec.d
-        v1 = points[:, :d]
-        v2 = points[:, d]
-        norms = np.sqrt(np.sum(v1 * v1, axis=1)) if spec.norm == "euclidean" else np.max(np.abs(v1), axis=1)
-        slack = spec.c - norms**d * np.abs(v2)
-        ok = (slack >= 0.0) & (v2 >= spec.eps) & (v2 <= 1.0)
-
-        graze = np.abs(slack) < GRAZE_TOL * max(spec.c, 1.0)
-        if np.any(graze):  # re-decide grazers with extended precision
-            idx = np.flatnonzero(graze)
-            p = points[idx].astype(np.longdouble)
-            n2 = np.sum(p[:, :d] ** 2, axis=1) if spec.norm == "euclidean" else np.max(np.abs(p[:, :d]), axis=1) ** 2
-            lhs = n2**d * p[:, d] ** 2
-            ok[idx] = (lhs <= np.longdouble(spec.c) ** 2) & (p[:, d] >= spec.eps) & (p[:, d] <= 1.0)
-
-        if spec.A is not None:
-            live = ok & (norms > 0.0)
-            hit = np.zeros(len(points), dtype=bool)
-            if np.any(live):
-                hit[live] = spec.A.contains_many(v1[live] / norms[live, None])
-            ok = hit
-        return ok.astype(float)
+    def evaluate(self, points, coords=None, lat=None):
+        ok, _, in_A = _classify(points, self.spec, coords, lat)
+        return (ok if in_A is None else in_A).astype(float)
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,10 @@ class ScaledSum(TestFunction):
     def integral(self) -> float:
         return float(sum(c * tf.integral() for c, tf in self.terms))
 
-    def evaluate(self, points):
+    def evaluate(self, points, coords=None, lat=None):
         out = np.zeros(len(points))
         for c, tf in self.terms:
-            out += c * tf.evaluate(points)
+            out += c * tf.evaluate(points, coords, lat)
         return out
 
 
@@ -180,11 +171,11 @@ def siegel_transform(f: TestFunction, lat: Lattice, primitive_only: bool = False
     pad = 1e-9 * (np.abs(lo) + np.abs(hi) + 1.0)
     pts, ns = enumerate_in_box(lat, lo - pad, hi + pad, budget=budget, return_coords=True)
     if primitive_only and len(ns):
-        g = np.gcd.reduce(np.abs(ns), axis=1)
-        pts = pts[g == 1]
+        prim = np.gcd.reduce(np.abs(ns), axis=1) == 1
+        pts, ns = pts[prim], ns[prim]
     if not len(pts):
         return 0.0
-    return float(np.sum(f.evaluate(pts)))
+    return float(np.sum(f.evaluate(pts, ns, lat)))
 
 
 def haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,27 +273,21 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
                keep_trace: bool = False, threads: int = 1) -> RatioEstimate:
     """Paired estimate of the direction-restricted count fraction.
 
-    Numerator and denominator share every rotation sample (the counts come
-    from one enumeration pass), which kills most of the variance of the
-    ratio; the error bar is the delta-method expansion.
+    Numerator and denominator share every rotation sample: both are read off
+    one `count_region` of the flowed lattice (in_A over total), which kills
+    most of the variance of the ratio; the error bar is the delta-method
+    expansion.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     d = lat.dim - 1
-    spec_num = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm=norm, A=A)
-    ind_num = RegionIndicator(spec_num)
-    ind_den = RegionIndicator(RegionSpec("R", d, T=1.0, c=spec_num.c, eps=eps, norm=norm))
+    spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm=norm, A=A)
     g = g_flow(t, d)
-    lo, hi = ind_den.support_box()
-    pad = 1e-9 * (np.abs(lo) + np.abs(hi) + 1.0)
 
     def one(i: int) -> tuple[float, float]:
         k = _sample_rotation(seed, i, lat.dim)
-        moved = Lattice(g @ k @ lat.basis, check=False)
-        pts = enumerate_in_box(moved, lo - pad, hi + pad, budget=budget)
-        if not len(pts):
-            return 0.0, 0.0
-        return float(np.sum(ind_num.evaluate(pts))), float(np.sum(ind_den.evaluate(pts)))
+        res = count_region(Lattice(g @ k @ lat.basis, check=False), spec, budget=budget)
+        return float(res.in_A), float(res.total)
 
     pairs = np.array(_map_samples(one, M, threads))
     xs, ys = pairs[:, 0], pairs[:, 1]
@@ -316,9 +301,9 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     stderr = math.sqrt(max(var, 0.0))
 
     num = MCEstimate(mean_x, float(xs.std(ddof=1) / math.sqrt(M)), M, t, seed,
-                     integral_reference=ind_num.integral())
+                     integral_reference=region_volume(spec))
     den = MCEstimate(mean_y, float(ys.std(ddof=1) / math.sqrt(M)), M, t, seed,
-                     integral_reference=ind_den.integral())
+                     integral_reference=region_volume(replace(spec, A=None)))
     if keep_trace:
         num.values = xs.tolist()
         den.values = ys.tolist()

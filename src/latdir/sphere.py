@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 UNIT_TOL = 1e-12
 
@@ -46,14 +45,17 @@ def ball_volume(d: int, r: float, norm: str = "euclidean") -> float:
 
 
 def _cap_measure(d: int, angle: float) -> float:
-    # normalized measure of a cap of angular radius `angle` on S^{d-1}, d >= 2
-    if angle <= 0.0:
-        return 0.0
-    if angle >= math.pi:
-        return 1.0
-    if angle > math.pi / 2:
-        return 1.0 - _cap_measure(d, math.pi - angle)
-    return 0.5 * betainc((d - 1) / 2.0, 0.5, math.sin(angle) ** 2)
+    """Normalized measure of a cap of angular radius `angle` on S^{d-1}, d >= 2.
+
+    It is I_{d-2}(angle) / I_{d-2}(pi) with I_m(a) = int_0^a sin^m, from
+    I_0 = a, I_1 = 1 - cos a and I_m = ((m-1) I_{m-2} - sin^{m-1} a cos a) / m.
+    """
+    s, c = math.sin(angle), math.cos(angle)
+    part, full = (angle, math.pi) if d % 2 == 0 else (1.0 - c, 2.0)
+    for m in range(2 + d % 2, d - 1, 2):
+        part = ((m - 1) * part - s ** (m - 1) * c) / m
+        full = (m - 1) * full / m
+    return part / full
 
 
 class DirectionSet:

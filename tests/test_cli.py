@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,6 +18,12 @@ def test_runconfig_json_round_trip():
     cfg = RunConfig(experiment="thm3", d=2, eps="0.25", M=77, seed=5, A="hemisphere:1,0")
     back = RunConfig.from_json(cfg.to_json())
     assert back == cfg
+
+
+def test_run_flag_defaults_are_runconfig_defaults():
+    args = vars(cli.build_parser().parse_args(["run", "thm1"]))
+    del args["command"]
+    assert args == dataclasses.asdict(RunConfig(experiment="thm1"))
 
 
 def test_runconfig_validation():

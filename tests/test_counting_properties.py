@@ -125,8 +125,8 @@ def oracle_region(x: list, spec: RegionSpec):
         for p in itertools.product(*windows):
             pts.append([q * xj - pj for xj, pj in zip(x, p)] + [float(q)])
             ns.append([-pj for pj in p] + [q])
-    exact_src = (np.array(ns, dtype=np.int64).reshape(-1, d + 1), lattice_from_x(x).exact_rows())
-    return lm._count_from_points(np.array(pts).reshape(-1, d + 1), spec, exact_src=exact_src,
+    return lm._count_from_points(np.array(pts).reshape(-1, d + 1), spec,
+                                 np.array(ns, dtype=np.int64).reshape(-1, d + 1), lattice_from_x(x),
                                  want_witnesses=True)
 
 
@@ -141,4 +141,4 @@ def test_region_boundary_targets_match_brute_force(d, q0, c, norm, data):
                lambda v: c - _v1_norm(v, norm) ** d * q0 >= 0.0)
     spec = RegionSpec("Q", d, T=2.0 * q0 - 1.0, c=c, norm=norm)  # q0 <= q <= 2 q0 - 1
     got, want = count_region(lattice_from_x(x), spec, want_witnesses=True), oracle_region(x, spec)
-    assert (got.total, got.degenerate, got.witnesses or []) == (want.total, want.degenerate, want.witnesses)
+    assert (got.total, got.degenerate, got.witnesses) == (want.total, want.degenerate, want.witnesses)

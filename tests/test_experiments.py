@@ -63,11 +63,12 @@ def test_shell_average_with_direction_set():
 
 
 def test_biased_census_report_summary():
-    rep = ex.biased_census(5, include_rows=False)
+    rep, census = ex.biased_census(5, include_rows=False)
     assert rep.summary["L"] == {"1": "2", "3": "16", "5": "216"} or \
         rep.summary["L"] == {"1": 2, "3": 16, "5": 216}
     assert rep.summary["L_bounds"]["5"] == 216
     assert rep.summary["thresholds"][-1] == str(216 * 73868)
+    assert rep.summary["rows"] == len(census.rows)
 
 
 def test_biased_ratio_partition_and_frozen_values():

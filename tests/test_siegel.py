@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latdir import siegel as sg
-from latdir.lattice import Lattice, RegionSpec, lattice_from_x, region_volume
+from latdir.lattice import (Lattice, RegionSpec, count_region, g_flow, lattice_from_x,
+                            region_volume)
 from latdir.siegel import (BoxIndicator, MCEstimate, RadialIndicator,
                            RegionIndicator, ScaledSum, ZeroDenominator,
                            haar_rotation, siegel_transform, spherical_average,
@@ -40,6 +42,15 @@ def test_region_indicator_integral_matches_volume():
         RegionIndicator(RegionSpec("P", 1, T=2.0))
     with pytest.raises(ValueError):
         RegionIndicator(RegionSpec("R", 1, T=2.0, eps=0.5))
+
+
+@pytest.mark.parametrize("c", [0.09000000000000001, 0.09000000000000002])
+def test_region_indicator_agrees_with_count_region_on_a_grazing_point(c):
+    # the point 3 fl(0.1) (1, 1) lies within rounding of ||v_1|| |v_2| = c, and
+    # exactly 9 fl(0.1)^2 <= c; at the smaller c the float test alone says no
+    lat = Lattice(np.array([[10.0, 0.1], [0.0, 0.1]]), check=False)
+    spec = RegionSpec("R", 1, T=1.0, c=c, eps=0.1)
+    assert siegel_transform(RegionIndicator(spec), lat) == count_region(lat, spec).total == 3
 
 
 def test_radial_indicator():
@@ -167,6 +178,24 @@ def test_ratio_zero_denominator():
         thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.97, t=0.05, M=4, seed=0)
     with pytest.raises(ValueError):
         thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.0, t=1.0, M=4, seed=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 2), seed=st.integers(0, 2**16), t=st.floats(1.0, 7.0),
+       eps=st.sampled_from([0.05, 0.1, 0.3]))
+def test_thm3_counts_are_region_counts(d, seed, t, eps):
+    A = SignSet(frozenset({-1})) if d == 1 else Hemisphere((1.0, 0.0))
+    try:
+        r = thm3_ratio(Lattice(np.eye(d + 1)), A, eps=eps, t=t, M=4, seed=seed, keep_trace=True)
+    except ZeroDenominator:
+        assume(False)
+    spec = RegionSpec("R", d, T=1.0, eps=eps, A=A)
+    for i in range(4):
+        moved = Lattice(g_flow(t, d) @ sg._sample_rotation(seed, i, d + 1), check=False)
+        res = count_region(moved, spec)
+        assert (r.numerator.values[i], r.denominator.values[i]) == (res.in_A, res.total)
+        assert siegel_transform(RegionIndicator(spec), moved) == res.in_A
+        assert siegel_transform(RegionIndicator(replace(spec, A=None)), moved) == res.total
 
 
 def test_mc_estimate_json():

@@ -50,6 +50,14 @@ def test_circle_cap_measure_is_angle_over_pi(angle):
     assert cap.measure() == pytest.approx(angle / math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("angle", [0.3, 1.2, math.pi / 2, 2.0, 2.9])
+def test_cap_measure_closed_forms(angle):
+    # S^2: (1 - cos a) / 2 (Archimedes); S^3: (a - sin a cos a) / pi
+    assert Cap((0.0, 0.0, 1.0), angle).measure() == pytest.approx((1 - math.cos(angle)) / 2, abs=1e-15)
+    assert Cap((0.0, 0.0, 0.0, 1.0), angle).measure() == pytest.approx(
+        (angle - math.sin(angle) * math.cos(angle)) / math.pi, abs=1e-15)
+
+
 def test_complement_measure_exact():
     cap = Cap((0.0, 1.0, 0.0), 0.7)
     assert Complement(cap).measure() + cap.measure() == 1.0
