@@ -9,8 +9,7 @@ from .contfrac import (CFNumber, Convergent, RationalInterval, RotationScan,
                        error_ratio_bounds, rotation_value)
 from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
                       count_region, enumerate_in_box, g_flow, lattice_from_x,
-                      region_contains, region_volume, shell_count,
-                      thinning_contains)
+                      region_contains, region_volume, shell_count)
 from .siegel import (BoxIndicator, MCEstimate, RadialIndicator, RegionIndicator,
                      ScaledSum, haar_rotation, siegel_transform,
                      spherical_average, thm3_ratio)

@@ -9,9 +9,10 @@ membership condition is -1 <= P(m) <= 1 with the quadratic
     P(m) = q(m) * (q(m) x - p(m)),   q(m) = m q_n + r,  p(m) = m p_n + p_r,
 
 so the in-census multipliers form at most two integer intervals per class.
-They are located by exact bisection against rational enclosures of x, which
-keeps the census affordable at levels where enumerating all a_{n+1} ~ 10^10
-candidates would not be.
+They are located by exact bisection, every comparison decided on one shared
+`contfrac.Enclosure` of x that starts at 24 elements and widens on demand,
+which keeps the census affordable at levels where enumerating all
+a_{n+1} ~ 10^10 candidates would not be.
 """
 
 from __future__ import annotations
@@ -19,25 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .contfrac import CFNumber, PREFIX_CAP, PrefixCapExceeded, RotationScan, biased_number
+from .contfrac import CFNumber, Enclosure, RotationScan, biased_number
 
 CAT_BELOW, CAT_IN, CAT_ABOVE = -1, 0, 1
-
-
-class _Ctx:
-    """Shared, monotonically tightening enclosure of x."""
-
-    def __init__(self, cf: CFNumber, start_terms: int = 24):
-        self.cf = cf
-        self.terms = start_terms
-
-    def interval(self):
-        return self.cf.enclosure_at(self.terms)
-
-    def widen(self):
-        if self.terms >= PREFIX_CAP:
-            raise PrefixCapExceeded("census refinement exceeded the prefix cap")
-        self.terms *= 2
 
 
 @dataclass
@@ -99,17 +84,17 @@ class CensusRow:
 class _ClassSolver:
     """Exact category / sign queries for one (level, remainder) class."""
 
-    def __init__(self, ctx: _Ctx, q_n: int, p_n: int, r: int, p_r: int):
-        self.ctx = ctx
+    def __init__(self, enc: Enclosure, q_n: int, p_n: int, r: int, p_r: int):
+        self.enc = enc
         self.q_n, self.p_n, self.r, self.p_r = q_n, p_n, r, p_r
 
     def _qp(self, m: int) -> tuple[int, int]:
         return m * self.q_n + self.r, m * self.p_n + self.p_r
 
     def category(self, m: int) -> int:
-        while True:
-            iv = self.ctx.interval()
-            q, p = self._qp(m)
+        q, p = self._qp(m)
+
+        def run(iv):
             lo = q * q * iv.lo - q * p
             hi = q * q * iv.hi - q * p
             if hi <= -1:
@@ -118,39 +103,38 @@ class _ClassSolver:
                 return CAT_ABOVE
             if lo >= -1 and hi <= 1:
                 return CAT_IN
-            self.ctx.widen()
+            return None
+
+        return self.enc.decide(run)
 
     def sign(self, m: int) -> int:
-        while True:
-            iv = self.ctx.interval()
-            q, p = self._qp(m)
-            lo = q * iv.lo - p
-            hi = q * iv.hi - p
-            if lo >= 0:
+        q, p = self._qp(m)
+
+        def run(iv):
+            if q * iv.lo - p >= 0:
                 return 1
-            if hi <= 0:
+            if q * iv.hi - p <= 0:
                 return -1
-            self.ctx.widen()
+            return None
+
+        return self.enc.decide(run)
 
     def vertex_window(self) -> tuple[int, int]:
         """Integer window of width <= 2 around the vertex of P(m)."""
         num_u, num_w = -2 * self.q_n * self.r, -(self.q_n * self.p_r + self.r * self.p_n)
         den_u, den_w = 2 * self.q_n * self.q_n, 2 * self.q_n * self.p_n
-        while True:
-            iv = self.ctx.interval()
-            n_lo, n_hi = num_u * iv.lo - num_w, num_u * iv.hi - num_w
-            if n_lo > n_hi:
-                n_lo, n_hi = n_hi, n_lo
-            d_lo, d_hi = den_u * iv.lo - den_w, den_u * iv.hi - den_w
-            if d_lo > d_hi:
-                d_lo, d_hi = d_hi, d_lo
+
+        def run(iv):
+            n_lo, n_hi = sorted((num_u * iv.lo - num_w, num_u * iv.hi - num_w))
+            d_lo, d_hi = sorted((den_u * iv.lo - den_w, den_u * iv.hi - den_w))
             if d_lo > 0 or d_hi < 0:
                 vals = [n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi]
-                v_lo, v_hi = min(vals), max(vals)
-                a, b = math.floor(v_lo), math.ceil(v_hi)
+                a, b = math.floor(min(vals)), math.ceil(max(vals))
                 if b - a <= 2:
                     return a, b
-            self.ctx.widen()
+            return None
+
+        return self.enc.decide(run)
 
     # -- structure extraction ------------------------------------------------
 
@@ -286,7 +270,7 @@ def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool =
     if n_max > 9:
         raise ValueError("n_max above 9 is out of the desk-scale budget")
     cf = cf or biased_number()
-    ctx = _Ctx(cf)
+    enc = Enclosure(cf, 24)
     levels: list[CensusLevel] = []
 
     # level 0: q in [1, q_1)
@@ -320,7 +304,7 @@ def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool =
         ]
         classes = []
         for label, r, p_r, m_lo, m_hi in class_defs:
-            solver = _ClassSolver(ctx, cn.q, cn.p, r, p_r)
+            solver = _ClassSolver(enc, cn.q, cn.p, r, p_r)
             cls = ClassPieces(label, r, p_r, m_lo, m_hi)
             cls.pieces = solver.in_intervals(m_lo, m_hi)
             classes.append(cls)
@@ -328,11 +312,11 @@ def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool =
 
     l_values = {lv.n: lv.L for lv in levels if lv.n % 2 == 1}
     thresholds = [lv.top_zero_q for lv in levels if lv.n % 2 == 1 and lv.top_zero_q]
-    rows = _materialize_rows(levels, ctx) if include_rows else []
+    rows = _materialize_rows(levels, enc) if include_rows else []
     return CensusReport(n_max, levels, rows, thresholds, l_values)
 
 
-def _materialize_rows(levels, ctx) -> list:
+def _materialize_rows(levels, enc: Enclosure) -> list:
     rows: list[CensusRow] = []
     for level in levels:
         if level.n == 0:
@@ -341,14 +325,14 @@ def _materialize_rows(levels, ctx) -> list:
             for a, b, s in cls.pieces:
                 for m in range(a, b + 1):
                     in_map[m] = s
-            scan = RotationScan(ctx.cf, max(cls.m_hi, 1)) if cls.m_hi >= 1 else None
+            scan = RotationScan(enc.cf, max(cls.m_hi, 1)) if cls.m_hi >= 1 else None
             for m in range(cls.m_lo, cls.m_hi + 1):
                 s = in_map.get(m, scan.sign(m) if scan else 1)
                 rows.append(CensusRow(0, "unit", 0, m, m, m in in_map, s))
             continue
         full = level.a_next + 1 <= ROW_FULL_CAP
         for cls in level.classes:
-            solver = _ClassSolver(ctx, level.q_n, level.p_n, cls.r, cls.p_r)
+            solver = _ClassSolver(enc, level.q_n, level.p_n, cls.r, cls.p_r)
             if full:
                 in_map = {}
                 for a, b, s in cls.pieces:

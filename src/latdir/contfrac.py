@@ -4,7 +4,9 @@ A number x = [0; a_1, a_2, ...] is represented by its element sequence,
 indexed from 1 and materialized lazily from a rule.  Everything here is
 arbitrary-precision integer / rational arithmetic: the denominators of
 interest grow like n^n and leave machine range around n = 8, so floats
-are never used for decisions in this module.
+are never used for decisions in this module.  Every exact decision about x
+(here, in the census and in the exact counts) runs through one `Enclosure`,
+which tightens the convergent enclosure of x until the decision is made.
 
 Conventions: q_{-1} = 0, p_{-1} = 1, p_0 = 0, q_0 = 1, and
 q_n = a_n q_{n-1} + q_{n-2} (same recurrence for p).
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-#: Hard cap on how many elements a refinement loop may materialize.  A sign
+#: Hard cap on how many elements an `Enclosure` may materialize.  A sign
 #: query on an irrational terminates long before this; hitting the cap
 #: signals misuse (an effectively rational input or an exhausted prefix).
 PREFIX_CAP = 10_000
@@ -228,16 +230,33 @@ def cf_product(x1: CFNumber, x2: CFNumber) -> CFNumber:
     return CFNumber(lambda n: x1.element(n) if n % 2 == 1 else x2.element(n))
 
 
-def _refine(cf: CFNumber, decide: Callable[[RationalInterval], object], *, max_terms: int = PREFIX_CAP):
-    """Run `decide` on successively tighter enclosures until it returns non-None."""
-    m = 8
-    while True:
-        out = decide(cf.enclosure_at(min(m, max_terms)))
-        if out is not None:
-            return out
-        if m >= max_terms:
-            raise PrefixCapExceeded(f"undecided after {max_terms} elements (effectively rational input?)")
-        m *= 2
+class Enclosure:
+    """The enclosure of x by convergents `terms`, `terms + 1`, refined on demand.
+
+    The one refinement loop of the exact layer: `decide(fn)` runs `fn` on the
+    current interval and doubles the depth (clamped to `max_terms`) until `fn`
+    returns something other than None.  The depth only grows, so an instance
+    shared by many queries builds each interval once.
+    """
+
+    def __init__(self, cf: CFNumber, terms: int, max_terms: int = PREFIX_CAP):
+        self.cf = cf
+        self.max_terms = max_terms
+        self.terms = min(terms, max_terms)
+        self.interval = cf.enclosure_at(self.terms)
+
+    def widen(self) -> None:
+        if self.terms >= self.max_terms:
+            raise PrefixCapExceeded(f"undecided after {self.terms} elements (effectively rational input?)")
+        self.terms = min(2 * self.terms, self.max_terms)
+        self.interval = self.cf.enclosure_at(self.terms)
+
+    def decide(self, fn: Callable[[RationalInterval], object]):
+        while True:
+            out = fn(self.interval)
+            if out is not None:
+                return out
+            self.widen()
 
 
 def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
@@ -262,7 +281,7 @@ def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tupl
             return (-1, rep)
         return None
 
-    return _refine(cf, decide, max_terms=max_terms)
+    return Enclosure(cf, 8, max_terms).decide(decide)
 
 
 def convergent_rotation(cf: CFNumber, n: int, *, rel_width: Fraction = Fraction(1, 10**9),
@@ -282,7 +301,7 @@ def convergent_rotation(cf: CFNumber, n: int, *, rel_width: Fraction = Fraction(
                 return (sign, err)
         return None
 
-    return _refine(cf, decide, max_terms=max_terms)
+    return Enclosure(cf, 8, max_terms).decide(decide)
 
 
 def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> RationalInterval:
@@ -305,56 +324,46 @@ def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> 
             return ratio
         return None
 
-    return _refine(cf, decide, max_terms=max_terms)
-
-
-class _Ambiguous(Exception):
-    """Internal: the current enclosure is too wide to decide a comparison."""
+    return Enclosure(cf, 8, max_terms).decide(decide)
 
 
 class RotationScan:
     """Exact circle-rotation data q.x for every q = 1..q_max at once.
 
-    Works over a single shared enclosure x in (L/D, (L+1)/D) built from a
+    Works over a single shared `Enclosure` x in (L/D, (L+1)/D) of a
     consecutive convergent pair (so the enclosure width is exactly 1/D), and
     answers sign / thinning-membership / best-approximation queries with pure
-    integer arithmetic.  Queries that the current enclosure cannot decide
-    trigger a transparent rebuild with a doubled prefix.
+    integer arithmetic.  A query the current enclosure cannot decide widens
+    it, and the records are rebuilt on the tighter interval.
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):
         self.cf = cf
         self.q_max = int(q_max)
-        self._max_terms = max_terms
-        self._m = start_terms
-        self._build()
+        self.enclosure = Enclosure(cf, start_terms, max_terms)
+        self._iv = None
+        self.enclosure.decide(self._records_on)
 
-    def _build(self) -> None:
-        while True:
-            iv = self.cf.enclosure_at(self._m)
-            L = iv.lo
-            self._D = L.denominator * iv.hi.denominator
-            self._L = L.numerator * iv.hi.denominator
+    def _records_on(self, iv: RationalInterval) -> list | None:
+        """The records on `iv`, rebuilt when the interval changed; None while
+        some q is undecided there."""
+        if iv is not self._iv:
+            L = iv.lo.numerator * iv.hi.denominator
+            D = iv.lo.denominator * iv.hi.denominator
             # consecutive convergents: the cross difference is exactly 1
-            if iv.hi.numerator * L.denominator - self._L != 1:
+            if iv.hi.numerator * iv.lo.denominator - L != 1:
                 raise ValueError(f"enclosure ({iv.lo}, {iv.hi}) is not bounded by consecutive convergents")
-            try:
-                self._records = [self._record(q) for q in range(1, self.q_max + 1)]
-            except _Ambiguous:
-                self._widen()
-                continue
-            return
+            records = [self._record(q, L, D) for q in range(1, self.q_max + 1)]
+            if None in records:
+                return None
+            self._iv, self._D, self._records = iv, D, records
+        return self._records
 
-    def _widen(self) -> None:
-        if self._m >= self._max_terms:
-            raise PrefixCapExceeded(f"scan undecided after {self._m} elements")
-        self._m = min(self._m * 2, self._max_terms)
-
-    def _record(self, q: int) -> tuple[int, int, int]:
-        D, L = self._D, self._L
+    @staticmethod
+    def _record(q: int, L: int, D: int) -> tuple[int, int, int] | None:
         r = (2 * q * L + D) // (2 * D)
         if (2 * q * (L + 1) + D) // (2 * D) != r:
-            raise _Ambiguous
+            return None
         nlo = q * L - r * D
         nhi = nlo + q
         # the representative is strictly inside (nlo/D, nhi/D)
@@ -362,15 +371,7 @@ class RotationScan:
             return (1, nlo, nhi)
         if nhi <= 0:
             return (-1, -nhi, -nlo)
-        raise _Ambiguous
-
-    def _retry(self, fn):
-        while True:
-            try:
-                return fn()
-            except _Ambiguous:
-                self._widen()
-                self._build()
+        return None
 
     def sign(self, q: int) -> int:
         """Exact sign of q.x (the representative of q*x in (-1/2, 1/2))."""
@@ -379,31 +380,37 @@ class RotationScan:
     def in_thinning(self, q: int, c=1) -> bool:
         """Whether |q.x| * q <= c; equality is impossible for an irrational x,
         so strict and non-strict versions coincide."""
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
 
-        def run():
-            _, alo, ahi = self._records[q - 1]
+        def run(iv):
+            records = self._records_on(iv)
+            if records is None:
+                return None
+            _, alo, ahi = records[q - 1]
             if q * ahi * c.denominator <= c.numerator * self._D:
                 return True
             if q * alo * c.denominator >= c.numerator * self._D:
                 return False
-            raise _Ambiguous
+            return None
 
-        return self._retry(run)
+        return self.enclosure.decide(run)
 
     def abs_less(self, q1: int, q2: int) -> bool:
         """Exact |q1.x| < |q2.x| (q1 != q2)."""
         if q1 == q2:
             return False
 
-        def run():
-            _, a1, b1 = self._records[q1 - 1]
-            _, a2, b2 = self._records[q2 - 1]
+        def run(iv):
+            records = self._records_on(iv)
+            if records is None:
+                return None
+            _, a1, b1 = records[q1 - 1]
+            _, a2, b2 = records[q2 - 1]
             if b1 <= a2:
                 return True
             if b2 <= a1:
                 return False
-            raise _Ambiguous
+            return None
 
-        return self._retry(run)
-
+        return self.enclosure.decide(run)

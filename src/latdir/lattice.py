@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
-from .contfrac import HALF, CFNumber, RotationScan, _refine
+from .contfrac import HALF, CFNumber, Enclosure, RotationScan
 from .sphere import DirectionSet
 
 GRAZE_TOL = 1e-9
@@ -225,14 +225,6 @@ def _classify(points: np.ndarray, spec: RegionSpec, coords=None, lat: Lattice | 
             units = v1[live] / norms[live, None]
             in_A[live] = spec.A.contains_many(units)
     return ok, degenerate, in_A
-
-
-def thinning_contains(v, d: int, c: float = 1.0, norm: str = "euclidean") -> bool:
-    """Membership in the unbounded cone ||v_1||^d |v_2| <= c (no v_2 window);
-    symmetric under v -> -v by construction."""
-    pts = np.asarray(v, dtype=float).reshape(1, -1)
-    n = _v1_norms(pts[:, :d], norm)[0]
-    return bool(n**d * abs(pts[0, d]) <= c)
 
 
 def region_contains(spec: RegionSpec, v) -> str:
@@ -538,13 +530,14 @@ def _count_approx_exact(cf: CFNumber, T: int, C: Fraction, A, want_witnesses) ->
     total = 0
     in_A = 0 if A is not None else None
     wits = [] if want_witnesses else None
+    # farther p are possible only while C/q > 1/2, that is for q < ceil(2C)
+    extra_below = math.ceil(2 * C)
     for q in range(1, T + 1):
         signs = []
         # nearest p: hit iff the circle representative lands in the thinning set
         if scan.in_thinning(q, C):
             signs.append(scan.sign(q))
-        # farther p are possible only while C/q > 1/2
-        if 2 * C > q:
+        if q < extra_below:
             signs.extend(_extra_p_signs(cf, q, C))
         total += len(signs)
         if A is not None:
@@ -578,7 +571,7 @@ def _extra_p_signs(cf: CFNumber, q: int, C: Fraction) -> list[int]:
                     return None
         return signs
 
-    return _refine(cf, decide)
+    return Enclosure(cf, 8).decide(decide)
 
 
 def _count_approx_float(x: np.ndarray, T: int, C: float, A, norm: str, want_witnesses) -> CountResult:

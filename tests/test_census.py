@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdir import census as cns
-from latdir.contfrac import biased_number
+from latdir.contfrac import Enclosure, PrefixCapExceeded, biased_number
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +128,31 @@ def test_row_cap_raises_instead_of_truncating(monkeypatch, cap):
 def test_row_cap_at_the_row_count_passes(monkeypatch):
     monkeypatch.setattr(cns, "ROW_TOTAL_CAP", 1280)
     assert len(cns.build_census(5).rows) == 1280
+
+
+def test_solver_widening_from_a_coarse_enclosure(census5):
+    # every class of levels 1-5 solved again on its own enclosure started at
+    # depth 2; level 1 decides there, every class above it has to widen
+    b = biased_number()
+    widened = set()
+    for level in census5.levels[1:]:
+        for cls in level.classes:
+            enc = Enclosure(b, 2)
+            solver = cns._ClassSolver(enc, level.q_n, level.p_n, cls.r, cls.p_r)
+            assert solver.in_intervals(cls.m_lo, cls.m_hi) == cls.pieces
+            if enc.terms > 2:
+                widened.add((level.n, cls.label))
+            # sign queries on their own coarse enclosure widen too
+            for a, z, sign in cls.pieces:
+                for m in (a, z):
+                    fresh = cns._ClassSolver(Enclosure(b, 2), level.q_n, level.p_n, cls.r, cls.p_r)
+                    assert fresh.sign(m) == sign
+    assert widened == {(n, cls.label) for n in (2, 3, 4, 5) for cls in census5.levels[n].classes}
+
+
+def test_solver_raises_at_the_cap(census5):
+    level = census5.levels[3]
+    cls = level.classes[0]
+    solver = cns._ClassSolver(Enclosure(biased_number(), 2, 3), level.q_n, level.p_n, cls.r, cls.p_r)
+    with pytest.raises(PrefixCapExceeded):
+        solver.in_intervals(cls.m_lo, cls.m_hi)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdir import contfrac as cfm
-from latdir.contfrac import (CFNumber, ElementsExhausted, PrefixCapExceeded,
+from latdir.contfrac import (CFNumber, ElementsExhausted, Enclosure, PrefixCapExceeded,
                              RationalInterval, RotationScan, biased_elements,
                              biased_number, cf_product, constant_cf)
 
@@ -232,6 +232,46 @@ def test_scan_widens_from_a_coarse_start():
     for q in range(1, 201):
         assert coarse.sign(q) == fine.sign(q)
         assert coarse.in_thinning(q, 1) == fine.in_thinning(q, 1)
+
+
+def test_scan_query_widens_past_the_build_depth():
+    # golden scan to 50 from depth 2 settles its records at depth 8, where
+    # |1.x| = 0.3819... and |35.x| = 0.3688... still overlap; the query alone
+    # must widen and rebuild, then agree with a scan started deep enough
+    g = constant_cf(1)
+    coarse = RotationScan(g, 50, start_terms=2)
+    fine = RotationScan(g, 50)
+    built = coarse.enclosure.terms
+    assert coarse.abs_less(35, 1) is True and fine.abs_less(35, 1) is True
+    assert coarse.enclosure.terms > built
+    assert coarse.abs_less(1, 35) is False and fine.abs_less(1, 35) is False
+    for q in range(1, 51):
+        assert coarse.sign(q) == fine.sign(q)
+        assert coarse.in_thinning(q, 1) == fine.in_thinning(q, 1)
+
+
+def test_scan_query_raises_at_the_cap():
+    scan = RotationScan(constant_cf(1), 50, start_terms=2, max_terms=8)
+    with pytest.raises(PrefixCapExceeded):
+        scan.abs_less(1, 35)
+
+
+def test_enclosure_doubles_to_the_cap():
+    b = biased_number()
+    enc = Enclosure(b, 8, 20)
+    seen = []
+
+    def fn(iv):
+        assert iv == b.enclosure_at(enc.terms)
+        seen.append(enc.terms)
+        return "done" if enc.terms == 20 else None
+
+    assert enc.decide(fn) == "done"
+    assert seen == [8, 16, 20]
+    with pytest.raises(PrefixCapExceeded):
+        enc.widen()
+    with pytest.raises(PrefixCapExceeded):
+        Enclosure(b, 2, 4).decide(lambda iv: None)
 
 
 # -- products and serialization ----------------------------------------------

@@ -12,7 +12,7 @@ from latdir.lattice import (CandidateBudgetExceeded, DegenerateRational,
                             Lattice, RegionSpec, UnboundedRegion,
                             count_approximates, count_region, enumerate_in_box,
                             g_flow, lattice_from_x, region_contains,
-                            region_volume, shell_count, thinning_contains)
+                            region_volume, shell_count)
 from latdir.siegel import haar_rotation
 from latdir.sphere import Cap, Hemisphere, SignSet, full_sphere
 
@@ -117,13 +117,6 @@ def test_region_volume_monte_carlo_oracle():
     est = hits.mean() * box_vol
     se = box_vol * math.sqrt(hits.mean() * (1 - hits.mean()) / M)
     assert abs(est - region_volume(spec)) <= 4 * se
-
-
-@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.2, 3))
-@settings(deadline=None)
-def test_thinning_cone_negation_symmetric(a, b, c):
-    v = [a, b]
-    assert thinning_contains(v, 1, c) == thinning_contains([-a, -b], 1, c)
 
 
 # -- enumeration ---------------------------------------------------------------
