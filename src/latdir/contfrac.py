@@ -338,7 +338,6 @@ class RotationScan:
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):
-        self.cf = cf
         self.q_max = int(q_max)
         self.enclosure = Enclosure(cf, start_terms, max_terms)
         self._iv = None
