@@ -5,8 +5,9 @@ indexed from 1 and materialized lazily from a rule.  Everything here is
 arbitrary-precision integer / rational arithmetic: the denominators of
 interest grow like n^n and leave machine range around n = 8, so floats
 are never used for decisions in this module.  Every exact decision about x
-(here, in the census and in the exact counts) runs through one `Enclosure`,
-which tightens the convergent enclosure of x until the decision is made.
+(here, in the census and in the level walk of the exact approximate counts)
+runs through one `Enclosure`, which tightens the convergent enclosure of x
+until the decision is made.
 
 Conventions: q_{-1} = 0, p_{-1} = 1, p_0 = 0, q_0 = 1, and
 q_n = a_n q_{n-1} + q_{n-2} (same recurrence for p).
@@ -70,9 +71,6 @@ class RationalInterval:
 
     def __contains__(self, value) -> bool:
         return self.lo <= value <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def strictly_inside(self, lo, hi) -> bool:
         """True if this enclosure lies in the open interval (lo, hi)."""
@@ -184,10 +182,6 @@ class CFNumber:
     def __float__(self) -> float:
         return float(self.enclose(Fraction(1, 10**20)).midpoint)
 
-    def elements_as_strings(self, n: int) -> list[str]:
-        """JSON-friendly serialization: decimal strings (elements exceed 64 bits)."""
-        return [str(a) for a in self.elements(n)]
-
     @classmethod
     def from_elements(cls, elements: Sequence[int | str], rule: Callable[[int], int] | None = None) -> "CFNumber":
         return cls(rule, elements=[int(e) for e in elements])
@@ -236,20 +230,28 @@ class Enclosure:
     The one refinement loop of the exact layer: `decide(fn)` runs `fn` on the
     current interval and doubles the depth (clamped to `max_terms`) until `fn`
     returns something other than None.  The depth only grows, so an instance
-    shared by many queries builds each interval once.
+    shared by many queries builds each interval once.  The interval is also
+    kept in integers, x in (L/D, (L+1)/D), for `rotation`.
     """
 
     def __init__(self, cf: CFNumber, terms: int, max_terms: int = PREFIX_CAP):
         self.cf = cf
         self.max_terms = max_terms
-        self.terms = min(terms, max_terms)
-        self.interval = cf.enclosure_at(self.terms)
+        self._set(min(terms, max_terms))
+
+    def _set(self, terms: int) -> None:
+        iv = self.cf.enclosure_at(terms)
+        L = iv.lo.numerator * iv.hi.denominator
+        # consecutive convergents: the cross difference is exactly 1
+        if iv.hi.numerator * iv.lo.denominator - L != 1:
+            raise ValueError(f"enclosure ({iv.lo}, {iv.hi}) is not bounded by consecutive convergents")
+        self.terms, self.interval = terms, iv
+        self.L, self.D = L, iv.lo.denominator * iv.hi.denominator
 
     def widen(self) -> None:
         if self.terms >= self.max_terms:
             raise PrefixCapExceeded(f"undecided after {self.terms} elements (effectively rational input?)")
-        self.terms = min(2 * self.terms, self.max_terms)
-        self.interval = self.cf.enclosure_at(self.terms)
+        self._set(min(2 * self.terms, self.max_terms))
 
     def decide(self, fn: Callable[[RationalInterval], object]):
         while True:
@@ -257,6 +259,22 @@ class Enclosure:
             if out is not None:
                 return out
             self.widen()
+
+    def rotation(self, q: int) -> tuple[int, int, int] | None:
+        """(sign of q.x, nlo, nhi) with |q.x| strictly inside (nlo/D, nhi/D) on
+        the current interval, in integers; None while the nearest integer to
+        q*x or the sign is undecided there."""
+        L, D = self.L, self.D
+        r = (2 * q * L + D) // (2 * D)
+        if (2 * q * (L + 1) + D) // (2 * D) != r:
+            return None
+        nlo = q * L - r * D
+        nhi = nlo + q
+        if nlo >= 0:
+            return (1, nlo, nhi)
+        if nhi <= 0:
+            return (-1, -nhi, -nlo)
+        return None
 
 
 def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
@@ -330,11 +348,14 @@ def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> 
 class RotationScan:
     """Exact circle-rotation data q.x for every q = 1..q_max at once.
 
-    Works over a single shared `Enclosure` x in (L/D, (L+1)/D) of a
-    consecutive convergent pair (so the enclosure width is exactly 1/D), and
-    answers sign / thinning-membership / best-approximation queries with pure
-    integer arithmetic.  A query the current enclosure cannot decide widens
-    it, and the records are rebuilt on the tighter interval.
+    A brute-force oracle, not a counter: it holds one record per q, so its
+    memory grows with q_max.  It serves the census's short windows, the
+    census oracle `brute_force_in_R`, acceptance criteria 3-4 and the tests
+    of the exact approximate counts, which `lattice` takes level by level
+    from the continued fraction instead.  The records are
+    `Enclosure.rotation` on one shared enclosure; a query the current
+    enclosure cannot decide widens it, and the records are rebuilt on the
+    tighter interval.
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):
@@ -347,30 +368,12 @@ class RotationScan:
         """The records on `iv`, rebuilt when the interval changed; None while
         some q is undecided there."""
         if iv is not self._iv:
-            L = iv.lo.numerator * iv.hi.denominator
-            D = iv.lo.denominator * iv.hi.denominator
-            # consecutive convergents: the cross difference is exactly 1
-            if iv.hi.numerator * iv.lo.denominator - L != 1:
-                raise ValueError(f"enclosure ({iv.lo}, {iv.hi}) is not bounded by consecutive convergents")
-            records = [self._record(q, L, D) for q in range(1, self.q_max + 1)]
+            enc = self.enclosure
+            records = [enc.rotation(q) for q in range(1, self.q_max + 1)]
             if None in records:
                 return None
-            self._iv, self._D, self._records = iv, D, records
+            self._iv, self._D, self._records = iv, enc.D, records
         return self._records
-
-    @staticmethod
-    def _record(q: int, L: int, D: int) -> tuple[int, int, int] | None:
-        r = (2 * q * L + D) // (2 * D)
-        if (2 * q * (L + 1) + D) // (2 * D) != r:
-            return None
-        nlo = q * L - r * D
-        nhi = nlo + q
-        # the representative is strictly inside (nlo/D, nhi/D)
-        if nlo >= 0:
-            return (1, nlo, nhi)
-        if nhi <= 0:
-            return (-1, -nhi, -nlo)
-        return None
 
     def sign(self, q: int) -> int:
         """Exact sign of q.x (the representative of q*x in (-1/2, 1/2))."""

@@ -94,7 +94,7 @@ def test_enclosures_nest(elems, k):
     cf = cf_from_list(elems)
     wide = cf.enclose(Fraction(1, 10**k))
     tight = cf.enclose(Fraction(1, 10 ** (k + 3)))
-    assert wide.contains_interval(tight)
+    assert wide.lo <= tight.lo and tight.hi <= wide.hi
 
 
 def test_interval_validation():
@@ -290,7 +290,7 @@ def test_cf_product_identity_and_interleave():
 
 def test_elements_serialize_as_decimal_strings():
     b = biased_number()
-    strs = b.elements_as_strings(8)
+    strs = [str(a) for a in b.elements(8)]
     assert strs[7] == str(8**8)
     back = CFNumber.from_elements(strs)
     assert back.elements(8) == b.elements(8)
