@@ -9,11 +9,11 @@ from .contfrac import (CFNumber, Convergent, RationalInterval, RotationScan,
                        error_ratio_bounds, rotation_value)
 from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
                       count_region, enumerate_in_box, g_flow, lattice_from_x,
-                      region_contains, region_volume, shell_count)
+                      region_volume, shell_count)
 from .siegel import (BoxIndicator, MCEstimate, RadialIndicator, RegionIndicator,
-                     ScaledSum, haar_rotation, siegel_transform,
-                     spherical_average, thm3_ratio)
-from .sphere import (Cap, Complement, DirectionSet, DisjointUnion, FullSphere,
-                     Hemisphere, SignSet, ball_volume, direction, full_sphere)
+                     haar_rotation, siegel_transform, spherical_average,
+                     thm3_ratio)
+from .sphere import (Cap, Complement, DirectionSet, FullSphere, Hemisphere,
+                     SignSet, ball_volume, full_sphere)
 
 __version__ = "0.1.0"

@@ -212,7 +212,7 @@ def check_spherical_averages(seed: int = SEED_MC) -> tuple[bool, str]:
     # exact zero-variance rotation invariance at t = 0
     Z2 = lm.Lattice(np.eye(2))
     annulus = sg.RadialIndicator(0.5, 1.5, 2)
-    pts = lm.enumerate_in_box(Z2, [-1.6, -1.6], [1.6, 1.6])
+    pts, _ = lm.enumerate_in_box(Z2, [-1.6, -1.6], [1.6, 1.6])
     brute = int(np.sum(annulus.evaluate(pts)))
     est0 = sg.spherical_average(annulus, Z2, t=0.0, M=16, seed=seed)
     if est0.stderr != 0.0 or est0.mean != brute:

@@ -39,7 +39,8 @@ EXPERIMENTS = ("thm1", "birkhoff", "thm3", "biased-census", "biased-ratio", "non
 
 @dataclass
 class RunConfig:
-    """Everything an experiment run depends on; JSON round-trips losslessly."""
+    """Everything an experiment run depends on; `to_json` is the `config`
+    that every report carries."""
 
     experiment: str
     d: int = 1
@@ -62,10 +63,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -107,8 +104,7 @@ def run(cfg: RunConfig) -> int:
         A = _resolve_A(cfg, cfg.d, "sign:-1" if cfg.d == 1 else "hemisphere:" + ",".join(["1"] + ["0"] * (cfg.d - 1)))
         rep = ex.direction_frequency_experiment(cfg.d, cfg.n, cfg.T, A, norm=cfg.norm,
                                                 C=C, seed=cfg.seed)
-        rows = [r for r in rep.records]
-        _write_report(cfg, rep.to_obj(), rows, "thm1-trace")
+        _write_report(cfg, rep.to_obj(), rep.records, "thm1-trace")
     elif cfg.experiment == "birkhoff":
         x = cfg.x if cfg.x >= 0 else float(np.random.default_rng(cfg.seed).random())
         A = parse_direction_set(cfg.A, 1) if cfg.A else None

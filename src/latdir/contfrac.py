@@ -69,9 +69,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __contains__(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def strictly_inside(self, lo, hi) -> bool:
         """True if this enclosure lies in the open interval (lo, hi)."""
         return lo < self.lo and self.hi < hi

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import census as census_mod
 from . import lattice as lm
-from .contfrac import CFNumber
-from .lattice import DegenerateRational, Lattice, RegionSpec, lattice_from_x
+from .lattice import DegenerateRational, RegionSpec, lattice_from_x
 from .sphere import DirectionSet, SignSet
 
 
@@ -99,18 +98,18 @@ def direction_frequency_experiment(d: int, num_points: int, T: float, A: Directi
 # ---------------------------------------------------------------------------
 # dyadic shell averages (the ergodic-average counting picture)
 
-def shell_average_experiment(lat_or_x, N_max: int, c: float = 1.0,
+def shell_average_experiment(x, N_max: int, c: float = 1.0,
                              A: DirectionSet | None = None, norm: str = "sup") -> ExperimentReport:
-    """Shell counts Q_i = (points with 2^{i-1} < v_2 <= 2^i), their running
-    sums N(Lambda, 2^N), and the per-level averages N(Lambda, 2^N)/N against
-    the volume references."""
+    """Shell counts Q_i = (points of Lambda = h_x Z^{d+1} with
+    2^{i-1} < v_2 <= 2^i), their running sums N(Lambda, 2^N), and the
+    per-level averages N(Lambda, 2^N)/N against the volume references."""
     if N_max < 2:
         raise ValueError("need N_max >= 2")
-    lat = lat_or_x if isinstance(lat_or_x, Lattice) else lattice_from_x(lat_or_x)
+    lat = lattice_from_x(x)
     d = lat.dim - 1
     report = ExperimentReport("birkhoff", {"N_max": N_max, "c": c, "norm": norm,
                                            "A": A.to_obj() if A else None,
-                                           "x": list(lat.x) if lat.x else None})
+                                           "x": list(lat.x)})
     ref = lm.region_volume(RegionSpec("Q", d, T=2.0, c=c, norm=norm))
     ref_A = lm.region_volume(RegionSpec("Q", d, T=2.0, c=c, norm=norm, A=A)) if A else None
     running = 0
@@ -149,11 +148,10 @@ def shell_average_experiment(lat_or_x, N_max: int, c: float = 1.0,
 # ---------------------------------------------------------------------------
 # the biased construction: exact census and window ratios
 
-def biased_census(n_max: int, *, include_rows: bool = True
-                  ) -> tuple[ExperimentReport, census_mod.CensusReport]:
+def biased_census(n_max: int) -> tuple[ExperimentReport, census_mod.CensusReport]:
     """Exact division-algorithm census of the biased number up to level n_max:
     the report, and the census itself for its rows."""
-    rep = census_mod.build_census(n_max, include_rows=include_rows)
+    rep = census_mod.build_census(n_max)
     report = ExperimentReport("biased-census", {"n_max": n_max})
     for lv in rep.levels:
         report.records.append({
@@ -225,7 +223,7 @@ def nonminimal_experiment(d: int, x_base, T: float, C: float | None = None,
     diagonal subsphere {u_1 = u_2}, collapsing the direction distribution."""
     if d < 2:
         raise ValueError("the relation example needs d >= 2")
-    alpha = float(x_base) if isinstance(x_base, CFNumber) else float(x_base)
+    alpha = float(x_base)
     xv = np.full(d, alpha)
     res = lm.count_approximates(xv, T, norm=norm, C=C, want_witnesses=True)
     w = np.full(d, 1.0 / math.sqrt(d))

@@ -90,9 +90,6 @@ class Lattice:
     def is_horospherical(self) -> bool:
         return self.tag == "horospherical"
 
-    def transformed(self, mat: np.ndarray) -> "Lattice":
-        return Lattice(np.asarray(mat, dtype=float) @ self.basis)
-
     def exact_rows(self) -> list[list[Fraction]]:
         """The stored float basis as exact rationals (floats are exact binary)."""
         return [[Fraction(v) for v in row] for row in self.basis.tolist()]
@@ -230,18 +227,6 @@ def _classify(points: np.ndarray, spec: RegionSpec, coords=None, lat: Lattice | 
     return ok, degenerate, in_A
 
 
-def region_contains(spec: RegionSpec, v) -> str:
-    """'in', 'out', or 'degenerate' (scalar constraints pass but v_1 = 0
-    while a direction set is attached)."""
-    pts = np.asarray(v, dtype=float).reshape(1, -1)
-    ok, degenerate, _ = _classify(pts, spec)
-    if not ok[0]:
-        return "out"
-    if spec.A is not None and degenerate[0]:
-        return "degenerate"
-    return "in"
-
-
 def region_volume(spec: RegionSpec) -> float:
     """Lebesgue volume of the region (times vol(A) when a set is attached).
 
@@ -335,8 +320,8 @@ def _int_bounds(lo: np.ndarray, hi: np.ndarray):
     return np.ceil(lo - pad_lo), np.floor(hi + pad_hi)
 
 
-def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
-                     return_coords: bool = False):
+def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero lattice points in the closed axis-aligned box, exhaustively.
 
     The basis B is LLL-reduced to R = B U first, with U exact and unimodular.
@@ -344,9 +329,9 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
     however ill-conditioned B is (a flowed g_t k basis has condition number
     e^{(d+1)t}) until the rounding margin of the float products dominates,
     near condition number 1e12. The box is bounded from a fresh product B U,
-    so an imperfect float reduction costs candidates, never points. Points
-    are computed as n @ B.T on the original basis and returned in
-    lexicographic order of their integer coordinates n.
+    so an imperfect float reduction costs candidates, never points. Returns
+    (points, coords): the points, computed as n @ B.T on the original basis,
+    and their integer coordinates n, both in lexicographic order of n.
 
     Raises CandidateBudgetExceeded before allocating the candidates when the
     integer box holds more points than the budget (default 10^8, env
@@ -386,10 +371,7 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None,
     pts = ns.astype(float) @ B.T
     inside = np.all(pts >= lo[None, :], axis=1) & np.all(pts <= hi[None, :], axis=1)
     order = np.lexsort(ns[inside].T[::-1])
-    pts, ns = pts[inside][order], ns[inside][order]
-    if return_coords:
-        return pts, ns
-    return pts
+    return pts[inside][order], ns[inside][order]
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +407,7 @@ def _horo_candidates(x: np.ndarray, q_lo: int, q_hi: int, C: float,
         r = C + margin[:d]
         box_lo = np.append(-r, (e - 0.5) / e)
         box_hi = np.append(r, (top + 0.5) / e)
-        _, ns = enumerate_in_box(Lattice(B, check=False), box_lo, box_hi,
-                                 budget=budget, return_coords=True)
+        _, ns = enumerate_in_box(Lattice(B, check=False), box_lo, box_hi, budget=budget)
         keep = (ns[:, d] >= e) & (ns[:, d] <= top)
         qp = np.column_stack([ns[keep, d], -ns[keep, :d]])
         qp = qp[np.lexsort(qp.T[::-1])]
@@ -489,7 +470,7 @@ def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
     else:
         box_lo, box_hi = spec.bounding_box()
         pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
-        pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget, return_coords=True)
+        pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget)
     return _count_from_points(pts, spec, ns, lat, want_witnesses)
 
 
@@ -525,10 +506,14 @@ def count_approximates(x, T: float, norm: str = "sup", C: float | None = None,
         C = 1.0
     if T < 1:
         raise ValueError("T must be >= 1")
-    if isinstance(x, CFNumber):
+    exact = isinstance(x, CFNumber)
+    if not exact:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+    if A is not None and A.dim != (1 if exact else x.shape[0]):
+        raise ValueError("direction set dimension mismatch")
+    if exact:
         return _count_approx_exact(x, int(math.floor(T)), Fraction(C), A, want_witnesses)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    return _count_approx_float(xv, int(math.floor(T)), float(C), A, norm, want_witnesses)
+    return _count_approx_float(x, int(math.floor(T)), float(C), A, norm, want_witnesses)
 
 
 def _count_approx_exact(cf: CFNumber, T: int, C: Fraction, A, want_witnesses) -> CountResult:

@@ -130,49 +130,14 @@ class RegionIndicator(TestFunction):
         return (ok if in_A is None else in_A).astype(float)
 
 
-@dataclass(frozen=True)
-class ScaledSum(TestFunction):
-    """sum_i coefficient_i * f_i with a common ambient dimension."""
-
-    terms: tuple  # of (float, TestFunction)
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("empty sum")
-        dims = {tf.dim for _, tf in self.terms}
-        if len(dims) != 1:
-            raise ValueError("terms must share a dimension")
-
-    @property
-    def dim(self):
-        return self.terms[0][1].dim
-
-    def support_box(self):
-        los, his = zip(*(tf.support_box() for _, tf in self.terms))
-        return np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)
-
-    def integral(self) -> float:
-        return float(sum(c * tf.integral() for c, tf in self.terms))
-
-    def evaluate(self, points, coords=None, lat=None):
-        out = np.zeros(len(points))
-        for c, tf in self.terms:
-            out += c * tf.evaluate(points, coords, lat)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # transforms and sampling
 
-def siegel_transform(f: TestFunction, lat: Lattice, primitive_only: bool = False,
-                     *, budget: int | None = None) -> float:
-    """Sum of f over the nonzero lattice points (optionally primitive only)."""
+def siegel_transform(f: TestFunction, lat: Lattice, *, budget: int | None = None) -> float:
+    """Sum of f over the nonzero lattice points."""
     lo, hi = f.support_box()
     pad = 1e-9 * (np.abs(lo) + np.abs(hi) + 1.0)
-    pts, ns = enumerate_in_box(lat, lo - pad, hi + pad, budget=budget, return_coords=True)
-    if primitive_only and len(ns):
-        prim = np.gcd.reduce(np.abs(ns), axis=1) == 1
-        pts, ns = pts[prim], ns[prim]
+    pts, ns = enumerate_in_box(lat, lo - pad, hi + pad, budget=budget)
     if not len(pts):
         return 0.0
     return float(np.sum(f.evaluate(pts, ns, lat)))
@@ -226,8 +191,7 @@ def _map_samples(fn, M: int, threads: int):
 
 
 def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int,
-                      *, budget: int | None = None, keep_trace: bool = False,
-                      threads: int = 1) -> MCEstimate:
+                      *, budget: int | None = None, keep_trace: bool = False) -> MCEstimate:
     """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
 
     Enumeration reduces each flowed basis first, so its cost stays flat in t
@@ -246,7 +210,7 @@ def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int
         moved = Lattice(g @ k @ lat.basis, check=False)
         return siegel_transform(f, moved, budget=budget)
 
-    vals = np.array(_map_samples(one, M, threads))
+    vals = np.array([one(i) for i in range(M)])
     est = MCEstimate(mean=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(M)),
                      samples=M, t=t, seed=seed, integral_reference=f.integral())
     if keep_trace:
@@ -280,6 +244,8 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if M < 2:
+        raise ValueError("need at least 2 samples")
     d = lat.dim - 1
     spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm=norm, A=A)
     g = g_flow(t, d)
@@ -296,7 +262,7 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
         raise ZeroDenominator("no lattice points hit the region; increase t or M")
     mean_x = float(xs.mean())
     ratio = mean_x / mean_y
-    cov = np.cov(xs, ys, ddof=1) if M > 1 else np.zeros((2, 2))
+    cov = np.cov(xs, ys, ddof=1)
     var = (cov[0, 0] - 2 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / M / mean_y**2
     stderr = math.sqrt(max(var, 0.0))
 

@@ -1,7 +1,7 @@
 """Direction sets on the unit sphere S^{d-1} with zero-measure boundary.
 
-Supported shapes: sign subsets of S^0, spherical caps, hemispheres, and
-complements / disjoint unions thereof.  Each set knows its exact normalized
+Supported shapes: sign subsets of S^0, spherical caps, hemispheres, their
+complements, and the full sphere.  Each set knows its exact normalized
 surface measure, so counting experiments can compare empirical direction
 frequencies against it.
 """
@@ -14,23 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 UNIT_TOL = 1e-12
-
-
-class ZeroVector(ValueError):
-    """direction() of the zero vector: the approximate is degenerate."""
-
-
-def direction(v) -> np.ndarray:
-    """Unit vector v/||v||; for d = 1 the sign is exact."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] == 1:
-        if v[0] == 0.0:
-            raise ZeroVector("cannot take the direction of 0")
-        return np.array([1.0 if v[0] > 0 else -1.0])
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroVector("cannot take the direction of the zero vector")
-    return v / norm
 
 
 def ball_volume(d: int, r: float, norm: str = "euclidean") -> float:
@@ -79,23 +62,6 @@ class DirectionSet:
 
     def to_obj(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_obj(obj: dict) -> "DirectionSet":
-        kind = obj["kind"]
-        if kind == "sign":
-            return SignSet(frozenset(obj["signs"]))
-        if kind == "hemisphere":
-            return Hemisphere(tuple(obj["axis"]))
-        if kind == "cap":
-            return Cap(tuple(obj["center"]), obj["angle"])
-        if kind == "complement":
-            return Complement(DirectionSet.from_obj(obj["inner"]))
-        if kind == "union":
-            return DisjointUnion(tuple(DirectionSet.from_obj(p) for p in obj["parts"]))
-        if kind == "full":
-            return FullSphere(obj["d"])
-        raise ValueError(f"unknown direction-set kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -204,36 +170,6 @@ class Complement(DirectionSet):
 
     def to_obj(self):
         return {"kind": "complement", "inner": self.inner.to_obj()}
-
-
-@dataclass(frozen=True)
-class DisjointUnion(DirectionSet):
-    """Union of pairwise disjoint parts; disjointness is the caller's contract."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("empty union")
-        dims = {p.dim for p in self.parts}
-        if len(dims) != 1:
-            raise ValueError("union parts must share a dimension")
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
-
-    def contains_many(self, U):
-        out = self.parts[0].contains_many(U)
-        for p in self.parts[1:]:
-            out = out | p.contains_many(U)
-        return out
-
-    def measure(self) -> float:
-        return sum(p.measure() for p in self.parts)
-
-    def to_obj(self):
-        return {"kind": "union", "parts": [p.to_obj() for p in self.parts]}
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,6 @@ def _strip_timestamp(path: Path) -> dict:
     return obj
 
 
-def test_runconfig_json_round_trip():
-    cfg = RunConfig(experiment="thm3", d=2, eps="0.25", M=77, seed=5, A="hemisphere:1,0")
-    back = RunConfig.from_json(cfg.to_json())
-    assert back == cfg
-
-
 def test_run_flag_defaults_are_runconfig_defaults():
     args = vars(cli.build_parser().parse_args(["run", "thm1"]))
     del args["command"]
@@ -76,6 +70,10 @@ def test_config_error_exits_2(tmp_path):
     assert cli.main(["run", "thm3", "--eps", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert cli.main(["run", "biased-census", "--nmax", "4", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert cli.main(["run", "thm1", "--A", "wedge:1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # one sample has no standard error; a sign set has no place in d = 2
+    assert cli.main(["run", "thm3", "--d", "1", "--t", "2", "--M", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert cli.main(["run", "thm1", "--d", "2", "--T", "1000", "--n", "3", "--A", "sign:-1",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_unknown_experiment_is_usage_error():

@@ -52,7 +52,7 @@ def enumeration_digest(d: int, t: float, seed: int) -> str:
     per_sample = []
     for i in range(SAMPLES):
         moved = Lattice(g @ _sample_rotation(seed, i, d + 1) @ np.eye(d + 1), check=False)
-        _, ns = enumerate_in_box(moved, lo - pad, hi + pad, return_coords=True)
+        _, ns = enumerate_in_box(moved, lo - pad, hi + pad)
         per_sample.append(sorted(map(tuple, ns.tolist())))
     return _digest(per_sample)
 

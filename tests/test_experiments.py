@@ -63,7 +63,7 @@ def test_shell_average_with_direction_set():
 
 
 def test_biased_census_report_summary():
-    rep, census = ex.biased_census(5, include_rows=False)
+    rep, census = ex.biased_census(5)
     assert rep.summary["L"] == {"1": "2", "3": "16", "5": "216"} or \
         rep.summary["L"] == {"1": 2, "3": 16, "5": 216}
     assert rep.summary["L_bounds"]["5"] == 216

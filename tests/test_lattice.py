@@ -11,8 +11,8 @@ from latdir.contfrac import biased_number, constant_cf
 from latdir.lattice import (CandidateBudgetExceeded, DegenerateRational,
                             Lattice, RegionSpec, UnboundedRegion,
                             count_approximates, count_region, enumerate_in_box,
-                            g_flow, lattice_from_x, region_contains,
-                            region_volume, shell_count)
+                            g_flow, lattice_from_x, region_volume,
+                            shell_count)
 from latdir.siegel import haar_rotation
 from latdir.sphere import Cap, Hemisphere, SignSet, full_sphere
 
@@ -35,10 +35,10 @@ def random_unimodular(rng, n, shears=8):
 
 def test_lattice_from_x_examples():
     assert np.allclose(lattice_from_x(0.0).basis, np.eye(2))
-    pts = enumerate_in_box(lattice_from_x(0.5), [-0.6, 0.5], [0.6, 1.5])
+    pts, _ = enumerate_in_box(lattice_from_x(0.5), [-0.6, 0.5], [0.6, 1.5])
     assert sorted(map(tuple, pts)) == [(-0.5, 1.0), (0.5, 1.0)]
     lat = lattice_from_x((0.3, 0.7))
-    pts = enumerate_in_box(lat, [0.25, 0.65, 0.9], [0.35, 0.75, 1.1])
+    pts, _ = enumerate_in_box(lat, [0.25, 0.65, 0.9], [0.35, 0.75, 1.1])
     assert sorted(map(tuple, np.round(pts, 12))) == [(0.3, 0.7, 1.0)]
 
 
@@ -65,18 +65,23 @@ def test_g_flow_maps_shells():
         g = g_flow(s, d)
         spec_lo = RegionSpec("Q", d, T=float(2**3), c=1.0, norm="sup")
         spec_hi = RegionSpec("Q", d, T=float(2**4), c=1.0, norm="sup")
-        for _ in range(200):
-            v = np.concatenate([rng.uniform(-1.2, 1.2, d), rng.uniform(7.0, 17.0, 1)])
-            assert (region_contains(spec_hi, v) == "in") == (region_contains(spec_lo, g @ v) == "in")
+        V = np.array([np.concatenate([rng.uniform(-1.2, 1.2, d), rng.uniform(7.0, 17.0, 1)])
+                      for _ in range(200)])
+        ok_hi, _, _ = lm._classify(V, spec_hi)
+        ok_lo, _, _ = lm._classify(V @ g.T, spec_lo)
+        assert np.array_equal(ok_hi, ok_lo)
 
 
 # -- regions -------------------------------------------------------------------
 
-def test_region_contains_examples():
-    assert region_contains(RegionSpec("P", 1, T=50, c=1, norm="sup"), [0.01, 40]) == "in"
-    assert region_contains(RegionSpec("P", 1, T=50, c=1, norm="sup"), [0.1, 40]) == "out"
+def test_classify_examples():
+    ok, _, _ = lm._classify(np.array([[0.01, 40.0], [0.1, 40.0]]),
+                            RegionSpec("P", 1, T=50, c=1, norm="sup"))
+    assert ok.tolist() == [True, False]
+    # scalar constraints pass but v_1 = 0: degenerate, never in A
     spec = RegionSpec("R", 1, T=10, c=1, eps=0.5, norm="sup", A=MINUS)
-    assert region_contains(spec, [0.0, 7]) == "degenerate"
+    ok, degenerate, in_A = lm._classify(np.array([[0.0, 7.0]]), spec)
+    assert ok.tolist() == degenerate.tolist() == [True] and in_A.tolist() == [False]
 
 
 def test_region_validation():
@@ -122,8 +127,8 @@ def test_region_volume_monte_carlo_oracle():
 # -- enumeration ---------------------------------------------------------------
 
 def test_enumerate_examples():
-    assert len(enumerate_in_box(Z2, [-1.5, -1.5], [1.5, 1.5])) == 8
-    assert len(enumerate_in_box(Z2, [0.2, 0.2], [0.8, 0.8])) == 0
+    assert len(enumerate_in_box(Z2, [-1.5, -1.5], [1.5, 1.5])[0]) == 8
+    assert len(enumerate_in_box(Z2, [0.2, 0.2], [0.8, 0.8])[0]) == 0
 
 
 def test_enumerate_budget():
@@ -155,13 +160,13 @@ def test_enumerate_flowed_basis_needs_few_candidates_at_t10():
     rng = np.random.default_rng(7)
     for _ in range(20):
         moved = Lattice(g @ haar_rotation(3, rng), check=False)
-        pts, ns = enumerate_in_box(moved, lo, hi, budget=5000, return_coords=True)
+        pts, ns = enumerate_in_box(moved, lo, hi, budget=5000)
         assert len(pts) > 0 and np.all(np.any(ns != 0, axis=1))
 
 
 def test_enumerate_returns_lexicographic_coords():
     lat = random_unimodular(np.random.default_rng(5), 3)
-    _, ns = enumerate_in_box(lat, [-3.0, -3.0, -3.0], [3.0, 3.0, 3.0], return_coords=True)
+    _, ns = enumerate_in_box(lat, [-3.0, -3.0, -3.0], [3.0, 3.0, 3.0])
     assert len(ns) > 1 and list(map(tuple, ns.tolist())) == sorted(map(tuple, ns.tolist()))
 
 
@@ -180,7 +185,7 @@ def test_enumerate_exhaustive_vs_brute_force(seed):
     lat = random_unimodular(rng, n)
     lo = rng.uniform(-4, 0, n)
     hi = lo + rng.uniform(0.5, 5, n)
-    got = sorted(map(tuple, np.round(enumerate_in_box(lat, lo, hi), 9)))
+    got = sorted(map(tuple, np.round(enumerate_in_box(lat, lo, hi)[0], 9)))
     # brute-force radius from the preimage of the box corners
     inv = np.linalg.inv(lat.basis)
     rad = int(np.ceil(np.max(np.abs(inv) @ np.maximum(np.abs(lo), np.abs(hi))))) + 1
@@ -203,8 +208,8 @@ def test_enumerate_invariant_under_basis_change(seed, d, t):
     B = g_flow(t, d) @ haar_rotation(d + 1, rng)
     V = random_unimodular(rng, d + 1).basis.astype(np.int64)
     lo, hi = RegionSpec("R", d, T=1.0, c=1.0, eps=0.1).bounding_box()
-    _, ns = enumerate_in_box(Lattice(B, check=False), lo, hi, return_coords=True)
-    _, ms = enumerate_in_box(Lattice(B @ V, check=False), lo, hi, return_coords=True)
+    _, ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
+    _, ms = enumerate_in_box(Lattice(B @ V, check=False), lo, hi)
     a = set(map(tuple, ns.tolist()))
     b = set(map(tuple, (ms @ V.T).tolist()))
     V_inv = np.rint(np.linalg.inv(V)).astype(np.int64)
@@ -322,6 +327,13 @@ def test_count_approximates_d2():
                               C=1.0, A=Hemisphere((-1.0, 0.0)))
     assert res.total == comp.total
     assert res.in_A + comp.in_A == res.total  # partition up to the seam (measure zero)
+
+
+def test_count_approximates_rejects_direction_set_of_another_dimension():
+    for x, A in ((np.array([0.3137515, 0.7390812]), MINUS), (0.7317381, Hemisphere((1.0, 0.0))),
+                 (biased_number(), Hemisphere((1.0, 0.0)))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            count_approximates(x, 100, A=A)
 
 
 # -- shells ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ from latdir import siegel as sg
 from latdir.lattice import (Lattice, RegionSpec, count_region, g_flow, lattice_from_x,
                             region_volume)
 from latdir.siegel import (BoxIndicator, MCEstimate, RadialIndicator,
-                           RegionIndicator, ScaledSum, ZeroDenominator,
+                           RegionIndicator, ZeroDenominator,
                            haar_rotation, siegel_transform, spherical_average,
                            thm3_ratio)
 from latdir.sphere import Complement, Hemisphere, SignSet, full_sphere
@@ -24,14 +24,6 @@ Z3 = Lattice(np.eye(3))
 def test_box_indicator_transform():
     assert siegel_transform(BoxIndicator((-1.5, -1.5), (1.5, 1.5)), Z2) == 8
     assert siegel_transform(BoxIndicator((-2.5, -2.5), (2.5, 2.5)), Z2) == 24
-
-
-def test_primitive_only():
-    f = BoxIndicator((-1.5, -1.5), (1.5, 1.5))
-    assert siegel_transform(f, Z2, primitive_only=True) == 8
-    g = BoxIndicator((-2.5, -2.5), (2.5, 2.5))
-    # drops (+-2, 0), (0, +-2), (+-2, +-2): gcd 2
-    assert siegel_transform(g, Z2, primitive_only=True) == 16
 
 
 def test_region_indicator_integral_matches_volume():
@@ -60,15 +52,6 @@ def test_radial_indicator():
     assert siegel_transform(RadialIndicator(0.5, 1.2, 2), Z2) == 4
     with pytest.raises(ValueError):
         RadialIndicator(2.0, 1.0, 2)
-
-
-def test_scaled_sum_additivity_exact():
-    f1 = BoxIndicator((-1.5, -1.5), (1.5, 1.5))
-    f2 = RadialIndicator(0.5, 1.2, 2)
-    s = ScaledSum(((2.0, f1), (-3.0, f2)))
-    assert s.integral() == pytest.approx(2 * f1.integral() - 3 * f2.integral())
-    val = siegel_transform(s, Z2)
-    assert val == 2 * siegel_transform(f1, Z2) - 3 * siegel_transform(f2, Z2)
 
 
 def test_monotone_in_f():
@@ -131,13 +114,6 @@ def test_spherical_average_seed_determinism():
     assert c.mean != a.mean  # different stream
 
 
-def test_spherical_average_threads_match_serial():
-    f = BoxIndicator((-1.4, -1.4), (1.4, 1.4))
-    a = spherical_average(f, Z2, t=1.1, M=30, seed=2, keep_trace=True)
-    b = spherical_average(f, Z2, t=1.1, M=30, seed=2, keep_trace=True, threads=4)
-    assert a.values == b.values
-
-
 def test_spherical_average_converges_to_integral_d1():
     f = BoxIndicator((-0.8, 0.2), (0.8, 1.0))
     est = spherical_average(f, Z2, t=5.0, M=600, seed=13)
@@ -171,6 +147,20 @@ def test_ratio_d1_sign_sets():
     r = thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.1, t=5.0, M=400, seed=6)
     assert abs(r.ratio - 0.5) <= 4 * max(r.stderr, 1e-3)
     assert r.vol_reference == 0.5
+
+
+def test_thm3_threads_match_serial():
+    A = Hemisphere((1.0, 0.0))
+    a = thm3_ratio(Z3, A, eps=0.15, t=3.0, M=30, seed=2, keep_trace=True)
+    b = thm3_ratio(Z3, A, eps=0.15, t=3.0, M=30, seed=2, keep_trace=True, threads=4)
+    assert a.numerator.values == b.numerator.values
+    assert a.denominator.values == b.denominator.values
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_thm3_ratio_needs_two_samples(M):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.1, t=2.0, M=M, seed=0)
 
 
 def test_ratio_zero_denominator():
