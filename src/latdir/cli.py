@@ -70,6 +70,8 @@ class RunConfig:
         if self.experiment == "biased-ratio" or self.experiment == "biased-census":
             if self.nmax % 2 == 0 or not 1 <= self.nmax <= 9:
                 raise ValueError("--nmax must be an odd index between 1 and 9")
+        if self.experiment == "birkhoff" and self.d != 1:
+            raise ValueError("birkhoff averages over one target: --d must be 1")
         if self.experiment == "thm3" and float(Fraction(self.eps)) <= 0.0:
             raise ValueError("thm3 needs eps > 0 (eps = 0 makes the region unbounded)")
 

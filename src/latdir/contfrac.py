@@ -5,9 +5,10 @@ indexed from 1 and materialized lazily from a rule.  Everything here is
 arbitrary-precision integer / rational arithmetic: the denominators of
 interest grow like n^n and leave machine range around n = 8, so floats
 are never used for decisions in this module.  Every exact decision about x
-(here, in the census and in the level walk of the exact approximate counts)
 runs through one `Enclosure`, which tightens the convergent enclosure of x
-until the decision is made.
+until the decision is made.  `worley_walk` is the one exact engine that
+decides which q are approximates; the exact counts of `lattice` and the
+census of `census` both consume it.
 
 Conventions: q_{-1} = 0, p_{-1} = 1, p_0 = 0, q_0 = 1, and
 q_n = a_n q_{n-1} + q_{n-2} (same recurrence for p).
@@ -274,6 +275,76 @@ class Enclosure:
         return None
 
 
+def worley_walk(enc: Enclosure, T: int, C: Fraction):
+    """Yield (q', sign of q'.x, G) once per Worley candidate q' <= T, where G
+    is the last multiple g q' <= T with g^2 q' |q'.x| < C (0 if none).
+
+    Every approximate (p, q) with |q x - p| < C/q and q >= 2C is such a
+    multiple: only the nearest p can hit there, and (p, q) = g (p', q') with
+    gcd(p', q') = 1 and g^2 q'|q'x - p'| < C.  By Worley's theorem
+    (J. Austral. Math. Soc. A 31, 1981) such a p'/q' with
+    |x - p'/q'| < C/q'^2 is (r p_{m+1} +- s p_m) / (r q_{m+1} +- s q_m) for
+    some level m >= -1 and integers r, s >= 0 with r s < 2C.  The pair has
+    gcd(r, s) as common factor, so coprime (r, s), plus (1, 0) and (0, 1),
+    give every q'.  Below 2C the nearest p always hits and farther p may
+    too; a caller that counts pairs (p, q) adds those itself.
+
+    Levels are walked while q_m <= T.  That misses nothing: at a level n with
+    q_n > T, (0, 1), (1, 0) and the + candidates exceed T, and with
+    a = a_{n+1}, r q_{n+1} - s q_n = (r a - s) q_n + r q_{n-1} is > T when
+    r a > s, is q_{n-1} (r = 1, s = a), the (0, 1) candidate of level n - 1,
+    when r a = s, and is -(k q_n - r q_{n-1}) with k = s - r a, k r < s r < 2C
+    and gcd(k, r) = 1, a candidate of level n - 1, when r a < s.  Stepping
+    down reaches the last walked level.  So the walk costs O(log T) levels of
+    O(C log C) candidates, each decided once on the shared enclosure `enc`.
+    """
+    cf = enc.cf
+    pairs = _worley_pairs(C)
+    seen: set[int] = set()
+    m = -1
+    while cf.convergent(m).q <= T:
+        lower, upper = cf.convergent(m).q, cf.convergent(m + 1).q
+        for r, s in pairs:
+            for qq in (r * upper + s * lower, abs(r * upper - s * lower)):
+                if 0 < qq <= T and qq not in seen:
+                    seen.add(qq)
+                    yield (qq, *enc.decide(lambda iv: _multiples(enc, qq, T // qq, C)))
+        m += 1
+
+
+def _worley_pairs(C: Fraction) -> list[tuple[int, int]]:
+    """(1, 0), (0, 1) and every coprime r, s >= 1 with r s < 2C."""
+    pairs = [(1, 0), (0, 1)]
+    r = 1
+    while r < 2 * C:
+        s = 1
+        while r * s < 2 * C:
+            if math.gcd(r, s) == 1:
+                pairs.append((r, s))
+            s += 1
+        r += 1
+    return pairs
+
+
+def _multiples(enc: Enclosure, q: int, cap: int, C: Fraction) -> tuple[int, int] | None:
+    """(sign of q.x, G) with G = min(cap, largest g with g^2 q |q.x| < C), or
+    None while the current interval cannot decide them."""
+    rec = enc.rotation(q)
+    if rec is None:
+        return None
+    sign, nlo, nhi = rec
+    # |q.x| D lies strictly inside (nlo, nhi): g^2 q |q.x| < C holds for
+    # g^2 q nhi <= C D and fails for g^2 q nlo >= C D
+    cd = C.numerator * enc.D
+    if cd <= 0:
+        return sign, 0
+    sure = math.isqrt(cd // (q * nhi * C.denominator))
+    maybe = math.isqrt((cd - 1) // (q * nlo * C.denominator)) if nlo else cap
+    if min(sure, cap) != min(maybe, cap):
+        return None
+    return sign, min(sure, cap)
+
+
 def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
     """Exact sign and enclosure of q.x, the representative of q*x in (-1/2, 1/2).
 
@@ -346,10 +417,10 @@ class RotationScan:
     """Exact circle-rotation data q.x for every q = 1..q_max at once.
 
     A brute-force oracle, not a counter: it holds one record per q, so its
-    memory grows with q_max.  It serves the census's short windows, the
-    census oracle `brute_force_in_R`, acceptance criteria 3-4 and the tests
-    of the exact approximate counts, which `lattice` takes level by level
-    from the continued fraction instead.  The records are
+    memory grows with q_max.  It serves the census oracle `brute_force_in_R`,
+    acceptance criteria 3-4 and the tests of the exact approximate counts
+    and of the census, which both take their approximates level by level
+    from `worley_walk` instead.  The records are
     `Enclosure.rotation` on one shared enclosure; a query the current
     enclosure cannot decide widens it, and the records are rebuilt on the
     tighter interval.

@@ -223,6 +223,8 @@ def nonminimal_experiment(d: int, x_base, T: float, C: float | None = None,
     diagonal subsphere {u_1 = u_2}, collapsing the direction distribution."""
     if d < 2:
         raise ValueError("the relation example needs d >= 2")
+    if probe_cap is not None and probe_cap.dim != d:
+        raise ValueError("direction set dimension mismatch")
     alpha = float(x_base)
     xv = np.full(d, alpha)
     res = lm.count_approximates(xv, T, norm=norm, C=C, want_witnesses=True)

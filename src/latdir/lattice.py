@@ -19,7 +19,7 @@ is cut into geometric shells, and each shell, flowed by g_s, fills one fixed
 box (Dani's correspondence), so a count up to T costs O(log T) boxes.
 Exact approximate counts of a continued-fraction target (d = 1) need no
 lattice: they walk the O(log T) convergent levels q_m <= T and decide a
-bounded set of candidate denominators at each (`_count_approx_exact`).
+bounded set of candidate denominators at each (`contfrac.worley_walk`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sphere
-from .contfrac import HALF, CFNumber, Enclosure
+from .contfrac import HALF, CFNumber, Enclosure, worley_walk
 from .sphere import DirectionSet
 
 GRAZE_TOL = 1e-9
@@ -520,26 +520,11 @@ def _count_approx_exact(cf: CFNumber, T: int, C: Fraction, A, want_witnesses) ->
     """Exact d = 1 count from the continued fraction, in O(log T) levels.
 
     For q < ceil(2C), C/q > 1/2: the nearest p always hits and farther p may
-    too (`_extra_p_signs`).  For q >= ceil(2C), C/q <= 1/2, so only the
-    nearest p can hit, and every hit (p, q) is g (p', q') with gcd(p', q') = 1
-    and g^2 q'|q'x - p'| < C.  By Worley's theorem (J. Austral. Math. Soc. A
-    31, 1981) such a p'/q' with |x - p'/q'| < C/q'^2 is
-    (r p_{m+1} +- s p_m) / (r q_{m+1} +- s q_m) for some level m >= -1 and
-    integers r, s >= 0 with r s < 2C.  The pair has gcd(r, s) as common
-    factor, so coprime (r, s), plus (1, 0) and (0, 1), give every q'.
-
-    Levels are walked while q_m <= T.  That misses nothing: at a level n with
-    q_n > T, (0, 1), (1, 0) and the + candidates exceed T, and with
-    a = a_{n+1}, r q_{n+1} - s q_n = (r a - s) q_n + r q_{n-1} is > T when
-    r a > s, is q_{n-1} (r = 1, s = a), the (0, 1) candidate of level n - 1,
-    when r a = s, and is -(k q_n - r q_{n-1}) with k = s - r a, k r < s r < 2C
-    and gcd(k, r) = 1, a candidate of level n - 1, when r a < s.  Stepping
-    down reaches the last walked level.
-
-    Each candidate q' <= T is decided once on one shared `Enclosure`; its run
-    of multiples q = g q' <= T comes out in closed form.  Each q >= ceil(2C)
-    has one witness, the nearest p, so the hits are keyed by q and sorted,
-    which gives the witnesses in the order of a scan over q.
+    too (`_extra_p_signs`).  Every larger hit is a multiple g q' of a
+    candidate of `contfrac.worley_walk`, which decides each q' <= T once on
+    one shared `Enclosure` and gives its run of multiples in closed form.
+    Each q >= ceil(2C) has one witness, the nearest p, so the hits are keyed
+    by q and sorted, which gives the witnesses in the order of a scan over q.
     """
     enc = Enclosure(cf, 8)
     small = math.ceil(2 * C)
@@ -548,55 +533,12 @@ def _count_approx_exact(cf: CFNumber, T: int, C: Fraction, A, want_witnesses) ->
         signs.append((q, enc.decide(lambda iv: enc.rotation(q))[0]))
         signs.extend((q, s) for s in _extra_p_signs(enc, q, C))
     hits: dict[int, int] = {}
-    seen: set[int] = set()
-    pairs = _worley_pairs(C)
-    m = -1
-    while cf.convergent(m).q <= T:
-        lower, upper = cf.convergent(m).q, cf.convergent(m + 1).q
-        for r, s in pairs:
-            for qq in (r * upper + s * lower, abs(r * upper - s * lower)):
-                if 0 < qq <= T and qq not in seen:
-                    seen.add(qq)
-                    sign, g_max = enc.decide(lambda iv: _multiples(enc, qq, T // qq, C))
-                    for g in range(max(1, -(-small // qq)), g_max + 1):
-                        hits[g * qq] = sign
-        m += 1
+    for qq, sign, g_max in worley_walk(enc, T, C):
+        for g in range(max(1, -(-small // qq)), g_max + 1):
+            hits[g * qq] = sign
     signs.extend(sorted(hits.items()))
     in_A = None if A is None else sum(1 for _, s in signs if A.contains_sign(s))
     return CountResult(len(signs), in_A, 0, signs if want_witnesses else None)
-
-
-def _worley_pairs(C: Fraction) -> list[tuple[int, int]]:
-    """(1, 0), (0, 1) and every coprime r, s >= 1 with r s < 2C."""
-    pairs = [(1, 0), (0, 1)]
-    r = 1
-    while r < 2 * C:
-        s = 1
-        while r * s < 2 * C:
-            if math.gcd(r, s) == 1:
-                pairs.append((r, s))
-            s += 1
-        r += 1
-    return pairs
-
-
-def _multiples(enc: Enclosure, q: int, cap: int, C: Fraction) -> tuple[int, int] | None:
-    """(sign of q.x, G) with G = min(cap, largest g with g^2 q |q.x| < C), or
-    None while the current interval cannot decide them."""
-    rec = enc.rotation(q)
-    if rec is None:
-        return None
-    sign, nlo, nhi = rec
-    # |q.x| D lies strictly inside (nlo, nhi): g^2 q |q.x| < C holds for
-    # g^2 q nhi <= C D and fails for g^2 q nlo >= C D
-    cd = C.numerator * enc.D
-    if cd <= 0:
-        return sign, 0
-    sure = math.isqrt(cd // (q * nhi * C.denominator))
-    maybe = math.isqrt((cd - 1) // (q * nlo * C.denominator)) if nlo else cap
-    if min(sure, cap) != min(maybe, cap):
-        return None
-    return sign, min(sure, cap)
 
 
 def _extra_p_signs(enc: Enclosure, q: int, C: Fraction) -> list[int]:

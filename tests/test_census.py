@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdir import census as cns
-from latdir.contfrac import Enclosure, PrefixCapExceeded, biased_number
+from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, biased_number
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +91,16 @@ def test_build_census_validation():
         cns.build_census(11)
 
 
-def test_census_generalizes_beyond_the_biased_number():
-    # the interval solver is not biased-specific: any element sequence with
-    # distinct remainder classes must reproduce the brute-force scan
-    from latdir.contfrac import CFNumber, cf_product, constant_cf
-
-    candidates = [constant_cf(4), constant_cf(5),
-                  cf_product(constant_cf(4), CFNumber(lambda n: n * n + 2))]
-    for cf in candidates:
-        q_hi = min(cf.convergent(6).q, 30_000)
-        rep = cns.build_census(5, cf=cf, include_rows=False)
-        assert rep.in_census_qs(q_hi - 1) == cns.brute_force_in_R(cf, q_hi - 1)
+@given(st.integers(4, 60), st.lists(st.integers(2, 60), min_size=6, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_census_generalizes_beyond_the_biased_number(a1, rest):
+    # the census is not biased-specific: any element sequence with distinct
+    # remainder classes must reproduce the brute-force scan
+    elements = [a1, *rest]
+    cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)])
+    q_hi = min(cf.convergent(6).q, 30_000)
+    rep = cns.build_census(5, cf=cf, include_rows=False)
+    assert rep.in_census_qs(q_hi - 1) == cns.brute_force_in_R(cf, q_hi - 1)
 
 
 def test_census_rejects_colliding_remainders():
@@ -131,28 +130,36 @@ def test_row_cap_at_the_row_count_passes(monkeypatch):
 
 
 def test_solver_widening_from_a_coarse_enclosure(census5):
-    # every class of levels 1-5 solved again on its own enclosure started at
-    # depth 2; level 1 decides there, every class above it has to widen
+    # levels 0-5 built again on an enclosure started at depth 2: the walk has
+    # to widen it, and the pieces come out the same
     b = biased_number()
-    widened = set()
+    enc = Enclosure(b, 2)
+    levels = cns._levels(b, 5, enc)
+    assert enc.terms > 2
+    assert [[c.pieces for c in lv.classes] for lv in levels] == \
+           [[c.pieces for c in lv.classes] for lv in census5.levels]
+    # row sign queries on their own coarse enclosure widen too
     for level in census5.levels[1:]:
         for cls in level.classes:
-            enc = Enclosure(b, 2)
-            solver = cns._ClassSolver(enc, level.q_n, level.p_n, cls.r, cls.p_r)
-            assert solver.in_intervals(cls.m_lo, cls.m_hi) == cls.pieces
-            if enc.terms > 2:
-                widened.add((level.n, cls.label))
-            # sign queries on their own coarse enclosure widen too
             for a, z, sign in cls.pieces:
                 for m in (a, z):
-                    fresh = cns._ClassSolver(Enclosure(b, 2), level.q_n, level.p_n, cls.r, cls.p_r)
-                    assert fresh.sign(m) == sign
-    assert widened == {(n, cls.label) for n in (2, 3, 4, 5) for cls in census5.levels[n].classes}
+                    assert cns._row_sign(Enclosure(b, 2), level, cls, m) == sign
 
 
-def test_solver_raises_at_the_cap(census5):
-    level = census5.levels[3]
-    cls = level.classes[0]
-    solver = cns._ClassSolver(Enclosure(biased_number(), 2, 3), level.q_n, level.p_n, cls.r, cls.p_r)
+def test_solver_raises_at_the_cap():
+    b = biased_number()
     with pytest.raises(PrefixCapExceeded):
-        solver.in_intervals(cls.m_lo, cls.m_hi)
+        cns._levels(b, 3, Enclosure(b, 2, 3))
+
+
+@pytest.mark.parametrize("hit, match", [
+    ((2 * 72 + 3 * 17, -1, 1), "no remainder class"),  # remainder 3 q_2 at level 3
+    ((4, -1, 17), "outside"),                          # q_1 run past a_2 = 16
+])
+def test_hit_outside_the_classes_raises(monkeypatch, hit, match):
+    # the census reports an approximate its classes cannot hold, never drops it
+    b = biased_number()
+    assert (b.convergent(1).q, b.convergent(2).q, b.convergent(3).q) == (4, 17, 72)
+    monkeypatch.setattr(cns, "worley_walk", lambda enc, T, C: iter([hit]))
+    with pytest.raises(ValueError, match=match):
+        cns.build_census(3, include_rows=False)

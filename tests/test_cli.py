@@ -27,6 +27,8 @@ def test_runconfig_validation():
         RunConfig(experiment="biased-census", nmax=4).validate()
     with pytest.raises(ValueError):
         RunConfig(experiment="thm3", eps="0").validate()
+    with pytest.raises(ValueError, match="--d must be 1"):
+        RunConfig(experiment="birkhoff", d=3).validate()
 
 
 def test_run_thm1_writes_report_and_trace(tmp_path):
@@ -73,6 +75,11 @@ def test_config_error_exits_2(tmp_path):
     # one sample has no standard error; a sign set has no place in d = 2
     assert cli.main(["run", "thm3", "--d", "1", "--t", "2", "--M", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert cli.main(["run", "thm1", "--d", "2", "--T", "1000", "--n", "3", "--A", "sign:-1",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert cli.main(["run", "nonminimal", "--d", "2", "--T", "1000", "--A", "sign:-1",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    # birkhoff averages over one target, whatever --d says
+    assert cli.main(["run", "birkhoff", "--d", "3", "--N", "4", "--x", "0.3",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
 

@@ -116,6 +116,12 @@ def test_nonminimal_d3():
         ex.nonminimal_experiment(1, 0.5, 100)
 
 
+def test_nonminimal_rejects_probe_cap_of_another_dimension():
+    for d, probe in ((2, MINUS), (3, Hemisphere((1.0, 0.0)))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ex.nonminimal_experiment(d, 0.23611035901878635, 100, probe_cap=probe)
+
+
 def test_report_big_ints_become_strings():
     rep = ex.biased_ratio(A=MINUS, eps=0, n_max=7)
     obj = rep.to_obj()
