@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,6 +49,22 @@ def test_run_biased_census_csv(tmp_path):
     lines = (out / "biased-census-rows.csv").read_text().splitlines()
     assert lines[0] == "n,r_label,r,m,q,in_R,sign"
     assert len(lines) > 10
+
+
+# sha256 of `run biased-census --nmax 7`: the report with `timestamp` and
+# `config.out` dropped, and the rows CSV as written
+PINNED_CENSUS_7 = ("c72b4f09cd9ca28124cf0c8835ba296d1aebc8893041e4a5b6f8903315ff39ca",
+                   "0848a4c8b3d50235da95f08b6f35834d27656447afe24c6a0e3606e62c81e0b4")
+
+
+def test_run_biased_census_pinned_digests(tmp_path):
+    out = tmp_path / "census"
+    assert cli.main(["run", "biased-census", "--nmax", "7", "--out", str(out)]) == EXIT_OK
+    report = _strip_timestamp(out / "biased-census-report.json")
+    report["config"].pop("out")
+    got = (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
+           hashlib.sha256((out / "biased-census-rows.csv").read_bytes()).hexdigest())
+    assert got == PINNED_CENSUS_7
 
 
 def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
