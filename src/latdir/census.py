@@ -67,25 +67,10 @@ class CensusLevel:
 
 
 @dataclass
-class CensusRow:
-    n: int
-    r_label: str
-    r: int
-    m: int
-    q: int
-    in_R: bool
-    sign: int
-
-    def to_obj(self) -> dict:
-        return {"n": self.n, "r_label": self.r_label, "r": self.r, "m": self.m,
-                "q": str(self.q), "in_R": self.in_R, "sign": self.sign}
-
-
-@dataclass
 class CensusReport:
     n_max: int
     levels: list
-    rows: list
+    rows: list  # CSV row dicts, see _materialize_rows
     thresholds: list  # largest remainder-0 in-census q per odd level
     l_values: dict
 
@@ -217,43 +202,40 @@ def _row_sign(enc: Enclosure, level: CensusLevel, cls: ClassPieces, m: int) -> i
     return enc.decide(run)
 
 
-def _materialize_rows(levels, enc: Enclosure) -> list:
-    rows: list[CensusRow] = []
+def _materialize_rows(levels, enc: Enclosure) -> list[dict]:
+    """The census rows as the CSV writes them (q as a decimal string).  A level
+    with a_{n+1} + 1 <= ROW_FULL_CAP gets every candidate; a bigger one only
+    its in-census points plus the first excluded candidate after each piece,
+    which witnesses the cutoff."""
+    rows: list[dict] = []
+
+    def add(level, cls, m, in_R, sign):
+        if len(rows) == ROW_TOTAL_CAP:
+            raise RowCapExceeded(f"census rows exceed ROW_TOTAL_CAP = {ROW_TOTAL_CAP}")
+        rows.append({"n": level.n, "r_label": cls.label, "r": cls.r, "m": m,
+                     "q": str(level.q_n * m + cls.r), "in_R": in_R, "sign": sign})
+
     for level in levels:
-        full = level.n == 0 or level.a_next + 1 <= ROW_FULL_CAP
+        full = level.a_next + 1 <= ROW_FULL_CAP
         for cls in level.classes:
             if full:
                 in_map = {m: s for a, b, s in cls.pieces for m in range(a, b + 1)}
                 for m in range(cls.m_lo, cls.m_hi + 1):
-                    q = level.q_n * m + cls.r
-                    s = in_map.get(m) or _row_sign(enc, level, cls, m)
-                    rows.append(CensusRow(level.n, cls.label, cls.r, m, q, m in in_map, s))
+                    add(level, cls, m, m in in_map, in_map.get(m) or _row_sign(enc, level, cls, m))
             else:
-                # big level: only the in-census points plus the first excluded
-                # candidate after each piece (witnesses the cutoff)
                 for a, b, s in cls.pieces:
                     for m in range(a, b + 1):
-                        q = level.q_n * m + cls.r
-                        rows.append(CensusRow(level.n, cls.label, cls.r, m, q, True, s))
-                        _check_row_cap(rows)
+                        add(level, cls, m, True, s)
                     if b + 1 <= cls.m_hi:
-                        q = level.q_n * (b + 1) + cls.r
-                        rows.append(CensusRow(level.n, cls.label, cls.r, b + 1, q,
-                                              False, _row_sign(enc, level, cls, b + 1)))
-            _check_row_cap(rows)
+                        add(level, cls, b + 1, False, _row_sign(enc, level, cls, b + 1))
     return rows
 
 
-def _check_row_cap(rows: list) -> None:
-    if len(rows) > ROW_TOTAL_CAP:
-        raise RowCapExceeded(f"census rows exceed ROW_TOTAL_CAP = {ROW_TOTAL_CAP}")
-
-
-def brute_force_in_R(cf: CFNumber, q_max: int, c=1) -> list[tuple[int, int]]:
-    """Independent oracle: every (q, sign) with |q.x| * q <= c, q = 1..q_max,
+def brute_force_in_R(cf: CFNumber, q_max: int) -> list[tuple[int, int]]:
+    """Independent oracle: every (q, sign) with |q.x| * q <= 1, q = 1..q_max,
     by direct exact scan (no remainder-class shortcut)."""
     scan = RotationScan(cf, q_max)
-    return [(q, scan.sign(q)) for q in range(1, q_max + 1) if scan.in_thinning(q, c)]
+    return [(q, scan.sign(q)) for q in range(1, q_max + 1) if scan.in_thinning(q)]
 
 
 def candidate_classes_ok(cf: CFNumber, q: int) -> bool:

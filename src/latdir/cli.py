@@ -67,6 +67,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r} (choose from {EXPERIMENTS})")
+        if self.d < 1:
+            raise ValueError("--d must be at least 1")
+        if self.budget and self.experiment != "thm3":
+            raise ValueError("--budget is for thm3 only; LATDIR_BUDGET caps every experiment")
         if self.experiment == "biased-ratio" or self.experiment == "biased-census":
             if self.nmax % 2 == 0 or not 1 <= self.nmax <= 9:
                 raise ValueError("--nmax must be an odd index between 1 and 9")
@@ -94,30 +98,28 @@ def _write_report(cfg: RunConfig, report_obj: dict, trace_rows: list[dict], trac
     return path
 
 
-def _resolve_A(cfg: RunConfig, d: int, default: str):
-    return parse_direction_set(cfg.A or default, d)
+def _direction_set(cfg: RunConfig):
+    default = "sign:-1" if cfg.d == 1 else "hemisphere:" + ",".join(["1"] + ["0"] * (cfg.d - 1))
+    return parse_direction_set(cfg.A or default, cfg.d)
 
 
 def run(cfg: RunConfig) -> int:
     cfg.validate()
-    budget = cfg.budget or None
     C = cfg.C or None
     if cfg.experiment == "thm1":
-        A = _resolve_A(cfg, cfg.d, "sign:-1" if cfg.d == 1 else "hemisphere:" + ",".join(["1"] + ["0"] * (cfg.d - 1)))
-        rep = ex.direction_frequency_experiment(cfg.d, cfg.n, cfg.T, A, norm=cfg.norm,
-                                                C=C, seed=cfg.seed)
+        rep = ex.direction_frequency_experiment(cfg.d, cfg.n, cfg.T, _direction_set(cfg),
+                                                norm=cfg.norm, C=C, seed=cfg.seed)
         _write_report(cfg, rep.to_obj(), rep.records, "thm1-trace")
     elif cfg.experiment == "birkhoff":
         x = cfg.x if cfg.x >= 0 else float(np.random.default_rng(cfg.seed).random())
-        A = parse_direction_set(cfg.A, 1) if cfg.A else None
-        rep = ex.shell_average_experiment(x, cfg.N, c=cfg.c, A=A, norm=cfg.norm)
+        rep = ex.shell_average_experiment(x, cfg.N, c=cfg.c, A=parse_direction_set(cfg.A, 1),
+                                          norm=cfg.norm)
         rep.seed = cfg.seed
         _write_report(cfg, rep.to_obj(), rep.records, "birkhoff-trace")
     elif cfg.experiment == "thm3":
-        A = _resolve_A(cfg, cfg.d, "hemisphere:" + ",".join(["1"] + ["0"] * (cfg.d - 1)) if cfg.d > 1 else "sign:-1")
         lat = lm.Lattice(np.eye(cfg.d + 1))
-        r = sg.thm3_ratio(lat, A, eps=float(Fraction(cfg.eps)), t=cfg.t, M=cfg.M,
-                          seed=cfg.seed, c=cfg.c, norm="euclidean", budget=budget,
+        r = sg.thm3_ratio(lat, _direction_set(cfg), eps=float(Fraction(cfg.eps)), t=cfg.t,
+                          M=cfg.M, seed=cfg.seed, c=cfg.c, budget=cfg.budget or None,
                           keep_trace=True, threads=cfg.threads)
         rows = [{"i": i, "in_A": a, "total": b}
                 for i, (a, b) in enumerate(zip(r.numerator.values, r.denominator.values))]
@@ -126,8 +128,7 @@ def run(cfg: RunConfig) -> int:
         print(f"ratio = {r.ratio:.4f} +- {r.stderr:.4f} (vol(A) = {r.vol_reference})")
     elif cfg.experiment == "biased-census":
         rep, census = ex.biased_census(cfg.nmax)
-        rows = [r.to_obj() for r in census.rows]
-        _write_report(cfg, rep.to_obj(), rows, "biased-census-rows")
+        _write_report(cfg, rep.to_obj(), census.rows, "biased-census-rows")
         print("L_n:", rep.summary["L"], "thresholds:", rep.summary["thresholds"])
     elif cfg.experiment == "biased-ratio":
         A = parse_direction_set(cfg.A or "sign:-1", 1)
@@ -137,9 +138,8 @@ def run(cfg: RunConfig) -> int:
     elif cfg.experiment == "nonminimal":
         from .contfrac import biased_number
         alpha = cfg.x if cfg.x >= 0 else float(biased_number())
-        A = parse_direction_set(cfg.A, cfg.d) if cfg.A else None
         rep = ex.nonminimal_experiment(cfg.d, alpha, cfg.T, C=C, norm="euclidean",
-                                       probe_cap=A)
+                                       probe_cap=parse_direction_set(cfg.A, cfg.d))
         _write_report(cfg, rep.to_obj(), rep.records, "nonminimal-trace")
         print("max diagonal residual:", rep.summary["max_diagonal_residual"])
     return EXIT_OK
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--x", type=float, help="explicit target (birkhoff/nonminimal)")
     runp.add_argument("--seed", type=int)
     runp.add_argument("--threads", type=int, help="worker cap for sampling")
-    runp.add_argument("--budget", type=int, help="candidate budget override (also env LATDIR_BUDGET)")
+    runp.add_argument("--budget", type=int,
+                      help="candidate budget of thm3 only (env LATDIR_BUDGET sets it for every experiment)")
     runp.add_argument("--out", help="output directory")
     runp.set_defaults(**{f.name: f.default for f in dataclasses.fields(RunConfig) if f.name != "experiment"})
 

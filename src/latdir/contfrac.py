@@ -370,8 +370,7 @@ def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tupl
     return Enclosure(cf, 8, max_terms).decide(decide)
 
 
-def convergent_rotation(cf: CFNumber, n: int, *, rel_width: Fraction = Fraction(1, 10**9),
-                        max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
+def convergent_rotation(cf: CFNumber, n: int) -> tuple[int, RationalInterval]:
     """Sign and enclosure of the signed convergent error q_n*x - p_n.
 
     For n >= 1 this equals the circle representative of q_n*x; for n = 0 it
@@ -383,14 +382,14 @@ def convergent_rotation(cf: CFNumber, n: int, *, rel_width: Fraction = Fraction(
         err = iv.scaled(c.q).shifted(-c.p)
         if err.lo > 0 or err.hi < 0:
             sign = 1 if err.lo > 0 else -1
-            if err.width <= err.abs().lo * rel_width:
+            if err.width * 10**9 <= err.abs().lo:
                 return (sign, err)
         return None
 
-    return Enclosure(cf, 8, max_terms).decide(decide)
+    return Enclosure(cf, 8).decide(decide)
 
 
-def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> RationalInterval:
+def error_ratio_bounds(cf: CFNumber, n: int) -> RationalInterval:
     """Exact enclosure of |q_{n-1}.x| / |q_n.x|.
 
     The true ratio sits strictly between a_{n+1}/2 and a_{n+1} + 2; the
@@ -410,7 +409,7 @@ def error_ratio_bounds(cf: CFNumber, n: int, *, max_terms: int = PREFIX_CAP) -> 
             return ratio
         return None
 
-    return Enclosure(cf, 8, max_terms).decide(decide)
+    return Enclosure(cf, 8).decide(decide)
 
 
 class RotationScan:

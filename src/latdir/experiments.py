@@ -116,7 +116,7 @@ def shell_average_experiment(x, N_max: int, c: float = 1.0,
     running_A = 0
     degenerate = 0
     for i in range(1, N_max + 1):
-        sh = lm.shell_count(lat, i, c=c, d=d, A=A, norm=norm)
+        sh = lm.shell_count(lat, i, c=c, A=A, norm=norm)
         running += sh.total
         degenerate += sh.degenerate
         if A is not None:

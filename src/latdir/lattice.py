@@ -474,9 +474,8 @@ def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
     return _count_from_points(pts, spec, ns, lat, want_witnesses)
 
 
-def shell_count(lat: Lattice, i: int, c: float = 0.0, d: int | None = None,
-                A: DirectionSet | None = None, norm: str = "euclidean",
-                budget: int | None = None) -> CountResult:
+def shell_count(lat: Lattice, i: int, c: float = 0.0, A: DirectionSet | None = None,
+                norm: str = "euclidean") -> CountResult:
     """Count in the dyadic shell: scalar constraint plus 2^{i-1} < v_2 <= 2^i.
 
     Counted directly (not by subtracting two P counts), so the additivity
@@ -484,9 +483,8 @@ def shell_count(lat: Lattice, i: int, c: float = 0.0, d: int | None = None,
     """
     if i < 1:
         raise ValueError("shell index must be >= 1")
-    d = lat.dim - 1 if d is None else d
-    spec = RegionSpec("Q", d, T=float(2**i), c=c, norm=norm, A=A)
-    return count_region(lat, spec, budget=budget)
+    spec = RegionSpec("Q", lat.dim - 1, T=float(2**i), c=c, norm=norm, A=A)
+    return count_region(lat, spec)
 
 
 def count_approximates(x, T: float, norm: str = "sup", C: float | None = None,

@@ -133,11 +133,11 @@ class RegionIndicator(TestFunction):
 # ---------------------------------------------------------------------------
 # transforms and sampling
 
-def siegel_transform(f: TestFunction, lat: Lattice, *, budget: int | None = None) -> float:
+def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     """Sum of f over the nonzero lattice points."""
     lo, hi = f.support_box()
     pad = 1e-9 * (np.abs(lo) + np.abs(hi) + 1.0)
-    pts, ns = enumerate_in_box(lat, lo - pad, hi + pad, budget=budget)
+    pts, ns = enumerate_in_box(lat, lo - pad, hi + pad)
     if not len(pts):
         return 0.0
     return float(np.sum(f.evaluate(pts, ns, lat)))
@@ -191,7 +191,7 @@ def _map_samples(fn, M: int, threads: int):
 
 
 def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int,
-                      *, budget: int | None = None, keep_trace: bool = False) -> MCEstimate:
+                      *, keep_trace: bool = False) -> MCEstimate:
     """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
 
     Enumeration reduces each flowed basis first, so its cost stays flat in t
@@ -208,7 +208,7 @@ def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int
     def one(i: int) -> float:
         k = _sample_rotation(seed, i, n)
         moved = Lattice(g @ k @ lat.basis, check=False)
-        return siegel_transform(f, moved, budget=budget)
+        return siegel_transform(f, moved)
 
     vals = np.array([one(i) for i in range(M)])
     est = MCEstimate(mean=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(M)),
@@ -233,7 +233,7 @@ class RatioEstimate:
 
 
 def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed: int,
-               *, c: float = 0.0, norm: str = "euclidean", budget: int | None = None,
+               *, c: float = 0.0, budget: int | None = None,
                keep_trace: bool = False, threads: int = 1) -> RatioEstimate:
     """Paired estimate of the direction-restricted count fraction.
 
@@ -247,7 +247,7 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     if M < 2:
         raise ValueError("need at least 2 samples")
     d = lat.dim - 1
-    spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm=norm, A=A)
+    spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
     g = g_flow(t, d)
 
     def one(i: int) -> tuple[float, float]:

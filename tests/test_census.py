@@ -58,30 +58,44 @@ def test_rows_consistent_with_pieces():
     rep = cns.build_census(3, include_rows=True)
     by_level = {}
     for row in rep.rows:
-        by_level.setdefault((row.n, row.r_label), []).append(row)
+        by_level.setdefault((row["n"], row["r_label"]), []).append(row)
     for level in rep.levels:
         for cls in level.classes:
             in_ms = {m for a, b, _ in cls.pieces for m in range(a, b + 1)}
             rows = by_level.get((level.n, cls.label), [])
-            assert {r.m for r in rows if r.in_R} == in_ms
+            assert {r["m"] for r in rows if r["in_R"]} == in_ms
             for r in rows:
-                assert r.q == level.q_n * r.m + cls.r
+                assert r["q"] == str(level.q_n * r["m"] + cls.r)
 
 
 def test_row_serialization_uses_decimal_strings():
     rep = cns.build_census(7, include_rows=True)
-    big = [r for r in rep.rows if r.n == 7]
+    big = [r for r in rep.rows if r["n"] == 7]
     assert big, "level-7 in-R rows should be materialized"
-    obj = big[-1].to_obj()
-    assert isinstance(obj["q"], str)
+    assert list(big[-1]) == ["n", "r_label", "r", "m", "q", "in_R", "sign"]
+    assert isinstance(big[-1]["q"], str)
 
 
 def test_big_levels_emit_cutoff_witness():
     rep = cns.build_census(5, include_rows=True)
-    lvl5 = [r for r in rep.rows if r.n == 5]
+    lvl5 = [r for r in rep.rows if r["n"] == 5]
     # the first excluded multiplier right after the in-R run is recorded
-    assert any(not r.in_R and r.m == 217 for r in lvl5)
-    assert sum(1 for r in lvl5 if r.in_R and r.r == 0) == 216
+    assert any(not r["in_R"] and r["m"] == 217 for r in lvl5)
+    assert sum(1 for r in lvl5 if r["in_R"] and r["r"] == 0) == 216
+
+
+def test_big_level_zero_follows_the_row_cap():
+    # a_1 = 600,000 leaves 599,999 level-0 candidates, past ROW_TOTAL_CAP; level
+    # 0 keeps only its in-census points and cutoff witnesses, as other levels do
+    a1 = 600_000
+    cf = CFNumber.from_elements([a1, 4], rule=lambda n: a1 if n == 1 else 4)
+    rep = cns.build_census(3, cf=cf, include_rows=True)
+    zero = rep.levels[0].classes[0]
+    assert zero.pieces == [(1, 774, 1)]
+    assert cns.brute_force_in_R(cf, 1000) == [(q, 1) for q in range(1, 775)]
+    want = [(m, True, 1) for m in range(1, 775)] + [(775, False, 1)]
+    assert [(r["m"], r["in_R"], r["sign"]) for r in rep.rows if r["n"] == 0] == want
+    assert len(rep.rows) < 1000
 
 
 def test_build_census_validation():

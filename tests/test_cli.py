@@ -98,6 +98,17 @@ def test_config_error_exits_2(tmp_path):
     # birkhoff averages over one target, whatever --d says
     assert cli.main(["run", "birkhoff", "--d", "3", "--N", "4", "--x", "0.3",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+    # --d below 1 is a config error, never a traceback
+    for experiment in ("thm1", "thm3"):
+        assert cli.main(["run", experiment, "--d", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_budget_flag_is_thm3_only(tmp_path, capsys):
+    # the other experiments never read --budget; LATDIR_BUDGET caps them all
+    assert cli.main(["run", "thm1", "--d", "2", "--T", "1e4", "--n", "3", "--budget", "1",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "LATDIR_BUDGET" in capsys.readouterr().err
+    assert not (tmp_path / "thm1-report.json").exists()
 
 
 def test_unknown_experiment_is_usage_error():
