@@ -71,11 +71,13 @@ class RunConfig:
             raise ValueError("--d must be at least 1")
         if self.budget and self.experiment != "thm3":
             raise ValueError("--budget is for thm3 only; LATDIR_BUDGET caps every experiment")
+        if self.threads != 1:
+            raise ValueError("--threads must be 1: thm3 counts all its samples in one batched pass")
         if self.experiment == "biased-ratio" or self.experiment == "biased-census":
             if self.nmax % 2 == 0 or not 1 <= self.nmax <= 9:
                 raise ValueError("--nmax must be an odd index between 1 and 9")
-        if self.experiment == "birkhoff" and self.d != 1:
-            raise ValueError("birkhoff averages over one target: --d must be 1")
+        if self.experiment in ("birkhoff", "biased-ratio", "biased-census") and self.d != 1:
+            raise ValueError(f"{self.experiment} has one real target: --d must be 1")
         if self.experiment == "thm3" and float(Fraction(self.eps)) <= 0.0:
             raise ValueError("thm3 needs eps > 0 (eps = 0 makes the region unbounded)")
 
@@ -120,7 +122,7 @@ def run(cfg: RunConfig) -> int:
         lat = lm.Lattice(np.eye(cfg.d + 1))
         r = sg.thm3_ratio(lat, _direction_set(cfg), eps=float(Fraction(cfg.eps)), t=cfg.t,
                           M=cfg.M, seed=cfg.seed, c=cfg.c, budget=cfg.budget or None,
-                          keep_trace=True, threads=cfg.threads)
+                          keep_trace=True)
         rows = [{"i": i, "in_A": a, "total": b}
                 for i, (a, b) in enumerate(zip(r.numerator.values, r.denominator.values))]
         obj = {"experiment": "thm3", "result": r.to_obj(), "seed": cfg.seed}
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--C", type=float, help="Dirichlet constant (0 = default)")
     runp.add_argument("--x", type=float, help="explicit target (birkhoff/nonminimal)")
     runp.add_argument("--seed", type=int)
-    runp.add_argument("--threads", type=int, help="worker cap for sampling")
+    runp.add_argument("--threads", type=int, help="must be 1: sampling is batched, not threaded")
     runp.add_argument("--budget", type=int,
                       help="candidate budget of thm3 only (env LATDIR_BUDGET sets it for every experiment)")
     runp.add_argument("--out", help="output directory")

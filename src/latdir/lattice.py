@@ -13,10 +13,13 @@ integer coordinates and the basis.  Lattice counts here and the Siegel
 transforms of `siegel.RegionIndicator` both go through it.  The enumerator
 LLL-reduces the basis first and scans a plain integer box in the reduced
 coordinates, so its cost does not grow with the condition number of a flowed
-basis g_t k B.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
-approximates and shell counts) go through the same enumerator: the q-window
-is cut into geometric shells, and each shell, flowed by g_s, fills one fixed
-box (Dani's correspondence), so a count up to T costs O(log T) boxes.
+basis g_t k B.  It takes a whole stack of bases and walks the candidates of
+all their boxes in fixed-size chunks, so the Monte Carlo driver
+(`siegel.thm3_ratio`) counts all its samples in one pass.  Horospherical
+lattices h_x Z^{d+1} (float Dirichlet approximates and shell counts) go
+through the same enumerator: the q-window is cut into geometric shells, and
+each shell, flowed by g_s, fills one fixed box (Dani's correspondence), so a
+count up to T is one stack of O(log T) boxes.
 Exact approximate counts of a continued-fraction target (d = 1) need no
 lattice: they walk the O(log T) convergent levels q_m <= T and decide a
 bounded set of candidate denominators at each (`contfrac.worley_walk`).
@@ -25,7 +28,9 @@ bounded set of candidate denominators at each (`contfrac.worley_walk`).
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,10 +94,6 @@ class Lattice:
     @property
     def is_horospherical(self) -> bool:
         return self.tag == "horospherical"
-
-    def exact_rows(self) -> list[list[Fraction]]:
-        """The stored float basis as exact rationals (floats are exact binary)."""
-        return [[Fraction(v) for v in row] for row in self.basis.tolist()]
 
 
 def lattice_from_x(x) -> Lattice:
@@ -182,13 +183,15 @@ def _v1_norms(v1: np.ndarray, norm: str) -> np.ndarray:
     return np.sqrt(np.sum(v1 * v1, axis=1))
 
 
-def _classify(points: np.ndarray, spec: RegionSpec, coords=None, lat: Lattice | None = None):
+def _classify(points: np.ndarray, spec: RegionSpec, coords=None, bases=None, which=None):
     """Masks (scalar+window ok, degenerate v1, in A) for an (N, d+1) array.
 
     This is the one region predicate.  When the integer coordinates `coords`
-    of the points on `lat` are given, points that graze the scalar boundary
-    in floating point are re-decided in exact rational arithmetic from the
-    lattice basis (binary floats are exact rationals).
+    of the points are given with the (K, d+1, d+1) stack of bases they were
+    enumerated on and each point's index `which` into it (all 0 when
+    omitted), points that graze the scalar boundary in floating point are
+    re-decided in exact rational arithmetic from their own basis (binary
+    floats are exact rationals).
     """
     d = spec.d
     v1 = points[:, :d]
@@ -201,13 +204,16 @@ def _classify(points: np.ndarray, spec: RegionSpec, coords=None, lat: Lattice | 
     ok &= v2 <= hi
 
     graze = np.flatnonzero(np.abs(slack) < GRAZE_TOL * max(spec.c, 1.0))
-    if lat is not None and len(graze):
-        rows = lat.exact_rows()
+    if bases is not None and len(graze):
+        exact_rows = {}
         c2 = Fraction(spec.c) ** 2
         wlo, whi = Fraction(lo), Fraction(hi)
         for i in graze:
+            k = 0 if which is None else int(which[i])
+            if k not in exact_rows:
+                exact_rows[k] = [[Fraction(v) for v in row] for row in bases[k].tolist()]
             n = [int(v) for v in coords[i]]
-            exact = [sum(r[j] * n[j] for j in range(len(n))) for r in rows]
+            exact = [sum(r[j] * n[j] for j in range(len(n))) for r in exact_rows[k]]
             ev2 = exact[d]
             if spec.norm == "sup":
                 scalar_ok = max(abs(cc) for cc in exact[:d]) ** (2 * d) * ev2**2 <= c2
@@ -254,39 +260,38 @@ LLL_DELTA = 0.75
 LLL_STEP_CAP = 5000  # a capped, partly reduced basis only costs candidates
 
 
-def _gram_schmidt(b: list) -> tuple[list, list]:
-    """Float Gram-Schmidt coefficients mu[i][j] and squared norms |b*_i|^2."""
-    n = len(b)
-    mu = [[0.0] * n for _ in range(n)]
-    stars, norm2 = [], []
-    for i, bi in enumerate(b):
-        v = list(bi)
-        for j in range(i):
-            mu[i][j] = sum(x * y for x, y in zip(bi, stars[j])) / norm2[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, stars[j])]
-        nv = sum(x * x for x in v)
-        if not 0.0 < nv < math.inf:
-            raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
-        stars.append(v)
-        norm2.append(nv)
-    return mu, norm2
-
-
 def _lll_transform(B: np.ndarray) -> list[list[int]]:
     """Columns of an exact unimodular U with B U LLL-reduced (delta = 3/4).
 
     Gram-Schmidt runs in floats on the columns of B; U is tracked in Python
     integers, so a float slip can leave B U less reduced but never changes the
-    lattice it spans.
+    lattice it spans.  Rows below k stay valid across steps: row k is
+    recomputed from the current b_k each step, and row 0 after a swap at
+    k = 1, which gives the same floats as a full recompute.
     """
     n = B.shape[1]
     b = B.T.tolist()
     u = [[int(i == j) for i in range(n)] for j in range(n)]
+    mu = [[0.0] * n for _ in range(n)]
+    stars: list = [None] * n
+    norm2 = [0.0] * n
+
+    def gs_row(i):
+        v = b[i]
+        for j in range(i):
+            mu[i][j] = c = sum(map(operator.mul, b[i], stars[j])) / norm2[j]
+            v = [x - c * y for x, y in zip(v, stars[j])]
+        nv = sum(map(operator.mul, v, v))
+        if not 0.0 < nv < math.inf:
+            raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
+        stars[i], norm2[i] = v, nv
+
+    gs_row(0)
     k = 1
     for _ in range(LLL_STEP_CAP):
         if k >= n:
             break
-        mu, norm2 = _gram_schmidt(b[: k + 1])
+        gs_row(k)
         for j in range(k - 1, -1, -1):  # size-reduce b_k
             q = round(mu[k][j])
             if q:
@@ -300,6 +305,8 @@ def _lll_transform(B: np.ndarray) -> list[list[int]]:
         else:
             b[k - 1], b[k] = b[k], b[k - 1]
             u[k - 1], u[k] = u[k], u[k - 1]
+            if k == 1:
+                gs_row(0)
             k = max(k - 1, 1)
     if abs(_int_det(u)) != 1:
         raise ArithmeticError("basis reduction produced a non-unimodular transform")
@@ -320,58 +327,135 @@ def _int_bounds(lo: np.ndarray, hi: np.ndarray):
     return np.ceil(lo - pad_lo), np.floor(hi + pad_hi)
 
 
-def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """All nonzero lattice points in the closed axis-aligned box, exhaustively.
+ENUM_CHUNK = 2048  # candidates expanded at once, so memory does not grow with the box
 
-    The basis B is LLL-reduced to R = B U first, with U exact and unimodular.
-    The box's preimage under R is covered by an integer box, which stays small
-    however ill-conditioned B is (a flowed g_t k basis has condition number
-    e^{(d+1)t}) until the rounding margin of the float products dominates,
-    near condition number 1e12. The box is bounded from a fresh product B U,
-    so an imperfect float reduction costs candidates, never points. Returns
-    (points, coords): the points, computed as n @ B.T on the original basis,
-    and their integer coordinates n, both in lexicographic order of n.
 
-    Raises CandidateBudgetExceeded before allocating the candidates when the
+def _points(nf: np.ndarray, Bs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """nf @ Bs[k].T row by row, as one BLAS product per run of equal k (k is
+    sorted), so a point rounds the same however its box is cut into chunks.
+    numpy sends a one-row product to gemv, which rounds differently from
+    gemm; such a row is doubled."""
+    pts = np.empty_like(nf)
+    if not len(k):
+        return pts
+    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        B = Bs[k[a]]
+        pts[a:b] = nf[a:b] @ B.T if b - a > 1 else (nf[[a, a]] @ B.T)[:1]
+    return pts
+
+
+def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """All nonzero points of K lattices in closed axis-aligned boxes, exhaustively.
+
+    `bases` is a (K, n, n) stack of bases (columns generate each lattice);
+    the box is one (n,) pair for every basis or one (K, n) row per basis.
+    Each basis B is LLL-reduced to R = B U first, with U exact and
+    unimodular.  The box's preimage under R is covered by an integer box,
+    which stays small however ill-conditioned B is (a flowed g_t k basis has
+    condition number e^{(d+1)t}) until the rounding margin of the float
+    products dominates, near condition number 1e12.  The box is bounded from
+    a fresh product B U, so an imperfect float reduction costs candidates,
+    never points.
+
+    The candidates of all integer boxes form one mixed-radix index range,
+    expanded ENUM_CHUNK at a time: each chunk forms n = U m and the points
+    n @ B.T from each candidate's own basis and keeps the nonzero points in
+    the box.  Once all of a box's chunks are in, its points are yielded, so
+    the working memory is set by the chunk and the largest box's output, not
+    by K.  Yields blocks (which, points, coords): each point's basis index,
+    the point and its integer coordinates n, sorted by (which, n)
+    lexicographically; the blocks follow one another in basis order and
+    bases without a point yield nothing.
+
+    Raises CandidateBudgetExceeded before expanding any candidate when an
     integer box holds more points than the budget (default 10^8, env
-    LATDIR_BUDGET), or when the basis is degenerate.
+    LATDIR_BUDGET), or when a basis is degenerate.
     """
+    Bs = np.asarray(bases, dtype=float)
+    if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2] or not len(Bs):
+        raise ValueError("bases must be a nonempty (K, n, n) stack of square matrices")
+    K, dim = Bs.shape[:2]
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
-    if lo.shape != (lat.dim,) or hi.shape != (lat.dim,):
+    if lo.shape not in ((dim,), (K, dim)) or hi.shape not in ((dim,), (K, dim)):
         raise ValueError("box endpoints must match the lattice dimension")
     if np.any(hi < lo):
         raise ValueError("box endpoints out of order")
+    lo, hi = np.broadcast_to(lo, (K, dim)), np.broadcast_to(hi, (K, dim))
     budget = budget if budget is not None else default_budget()
-    B = lat.basis
-    U = np.array(_lll_transform(B), dtype=np.int64).T
+    Us = np.empty((K, dim, dim), dtype=np.int64)
+    for U, B in zip(Us, Bs):
+        U[...] = np.array(_lll_transform(B)).T
     try:
-        Rinv = np.linalg.inv(B @ U)
+        Rinv = np.linalg.inv(Bs @ Us)
     except np.linalg.LinAlgError:
         raise CandidateBudgetExceeded("degenerate basis: singular after reduction") from None
     with np.errstate(all="ignore"):
-        center = Rinv @ ((lo + hi) / 2.0)
-        extent = np.abs(Rinv) @ ((hi - lo) / 2.0)
+        center = np.einsum("kij,kj->ki", Rinv, (lo + hi) / 2.0)
+        extent = np.einsum("kij,kj->ki", np.abs(Rinv), (hi - lo) / 2.0)
         # widen by the rounding error of the float products B U m and n @ B.T
         m_abs = np.abs(center) + extent + 1.0
-        rounding = 4 * lat.dim * np.finfo(float).eps * (np.abs(B) @ (np.abs(U) @ m_abs))
-        extent += np.abs(Rinv) @ rounding
+        rounding = 4 * dim * np.finfo(float).eps * np.einsum(
+            "kij,kj->ki", np.abs(Bs), np.einsum("kij,kj->ki", np.abs(Us), m_abs))
+        extent += np.einsum("kij,kj->ki", np.abs(Rinv), rounding)
     m_lo, m_hi = _int_bounds(center - extent, center + extent)
     if not (np.all(np.isfinite(m_lo)) and np.all(np.isfinite(m_hi))):
         raise CandidateBudgetExceeded("unbounded preimage of the box: degenerate basis or infinite box")
-    m_lo, m_hi = [int(v) for v in m_lo], [int(v) for v in m_hi]
-    total = math.prod(max(h - l + 1, 0) for l, h in zip(m_lo, m_hi))  # exact, never wraps
-    if total > budget:
-        raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
-    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(m_lo, m_hi)]
-    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lat.dim)
-    ns = m @ U.T
-    ns = ns[np.any(ns != 0, axis=1)]
-    pts = ns.astype(float) @ B.T
-    inside = np.all(pts >= lo[None, :], axis=1) & np.all(pts <= hi[None, :], axis=1)
-    order = np.lexsort(ns[inside].T[::-1])
-    return pts[inside][order], ns[inside][order]
+    sizes = np.maximum(m_hi - m_lo + 1.0, 0.0)
+    for row in sizes.tolist():
+        total = math.prod(int(v) for v in row)  # exact, never wraps
+        if total > budget:
+            raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
+    sizes = sizes.astype(np.int64)
+    m_lo = m_lo.astype(np.int64)
+    totals = sizes.prod(axis=1)
+    ends = np.cumsum(totals)
+    starts = ends - totals
+    n_total = int(ends[-1])
+    pending: list = []  # (which, coords, points) found since the last complete box
+    emitted = 0
+    for c0 in range(0, n_total, ENUM_CHUNK):
+        c1 = min(c0 + ENUM_CHUNK, n_total)
+        g = np.arange(c0, c1, dtype=np.int64)
+        k = np.searchsorted(ends, g, side="right")
+        # mixed-radix digits, last axis fastest: the order of meshgrid(indexing="ij")
+        rest, m = g - starts[k], np.empty((len(g), dim), dtype=np.int64)
+        for j in range(dim - 1, 0, -1):
+            rest, m[:, j] = np.divmod(rest, sizes[k, j])
+        m[:, 0] = rest
+        m += m_lo[k]
+        ns = np.einsum("kij,kj->ki", Us[k], m)
+        nz = ns.any(axis=1)
+        k, ns = k[nz], ns[nz]
+        pts = _points(ns.astype(float), Bs, k)
+        inside = np.all((pts >= lo[k]) & (pts <= hi[k]), axis=1)
+        pending.append((k[inside], ns[inside], pts[inside]))
+        done = int(np.searchsorted(ends, c1, side="right"))  # boxes [0, done) are complete
+        if done == emitted:
+            continue
+        which, ns, pts = (np.concatenate(part) for part in zip(*pending))
+        cut = int(np.searchsorted(which, done))  # which never decreases along the range
+        pending, emitted = [(which[cut:], ns[cut:], pts[cut:])], done
+        if cut:
+            order = np.lexsort((*ns[:cut].T[::-1], which[:cut]))
+            yield which[order], pts[order], ns[order]
+
+
+def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """All nonzero lattice points in the closed axis-aligned box, exhaustively:
+    the one-basis call of `enumerate_stacked`.  Returns (points, coords), the
+    points n @ B.T and their integer coordinates n, in lexicographic order
+    of n.
+    """
+    if np.ndim(box_lo) != 1 or np.ndim(box_hi) != 1:
+        raise ValueError("box endpoints must match the lattice dimension")
+    block = next(enumerate_stacked(lat.basis[None], box_lo, box_hi, budget=budget), None)
+    if block is None:  # no point in the box
+        return np.zeros((0, lat.dim)), np.zeros((0, lat.dim), dtype=np.int64)
+    return block[1], block[2]
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +471,16 @@ def _horo_candidates(x: np.ndarray, q_lo: int, q_hi: int, C: float,
 
     Dani's correspondence: the geometric shell e <= q < 16 e of h_x Z^{d+1},
     flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the fixed box
-    |v_1| <= C, 1 <= v_2 < 16, so each shell is one `enumerate_in_box` call
-    and the work is O(log T) boxes.  The box is widened by the rounding error
-    of the flowed float coordinates and of the callers' q x - p and
-    C q^{-1/d}, bounded like the margin in `enumerate_in_box`, so no point a
-    float predicate on q x - p accepts is dropped by the box filter.  The
-    q-window is cut on the exact integer q.
+    |v_1| <= C, 1 <= v_2 < 16, so each shell is one box of one
+    `enumerate_stacked` call and the work is O(log T) boxes.  The box is
+    widened by the rounding error of the flowed float coordinates and of the
+    callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin, so
+    no point a float predicate on q x - p accepts is dropped by the box
+    filter.  The q-window is cut on the exact integer q.
     """
     d = x.shape[0]
     qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros((0, d), dtype=np.int64)]
+    bases, box_lo, box_hi, windows = [], [], [], []
     e = q_lo
     while e <= q_hi:
         top = min(e * SHELL_RATIO - 1, q_hi)
@@ -405,15 +490,21 @@ def _horo_candidates(x: np.ndarray, q_lo: int, q_hi: int, C: float,
         n_abs = np.append(np.abs(x) * top + C + 1.0, top)
         margin = 4 * (d + 1) * np.finfo(float).eps * (np.abs(B) @ n_abs + C)
         r = C + margin[:d]
-        box_lo = np.append(-r, (e - 0.5) / e)
-        box_hi = np.append(r, (top + 0.5) / e)
-        _, ns = enumerate_in_box(Lattice(B, check=False), box_lo, box_hi, budget=budget)
-        keep = (ns[:, d] >= e) & (ns[:, d] <= top)
-        qp = np.column_stack([ns[keep, d], -ns[keep, :d]])
-        qp = qp[np.lexsort(qp.T[::-1])]
-        qs.append(qp[:, 0])
-        ps.append(qp[:, 1:])
+        bases.append(B)
+        box_lo.append(np.append(-r, (e - 0.5) / e))
+        box_hi.append(np.append(r, (top + 0.5) / e))
+        windows.append((e, top))
         e *= SHELL_RATIO
+    if bases:
+        window = np.array(windows, dtype=np.int64)
+        # one stack for all shells; blocks come in shell order, so in q order
+        for which, _, ns in enumerate_stacked(np.stack(bases), np.stack(box_lo), np.stack(box_hi),
+                                              budget=budget):
+            keep = (ns[:, d] >= window[which, 0]) & (ns[:, d] <= window[which, 1])
+            qp = np.column_stack([ns[keep, d], -ns[keep, :d]])
+            qp = qp[np.lexsort(qp.T[::-1])]
+            qs.append(qp[:, 0])
+            ps.append(qp[:, 1:])
     return np.concatenate(qs), np.concatenate(ps)
 
 
@@ -438,7 +529,7 @@ class CountResult:
 
 
 def _count_from_points(points, spec, coords, lat, want_witnesses=False) -> CountResult:
-    ok, degenerate, in_A = _classify(points, spec, coords, lat)
+    ok, degenerate, in_A = _classify(points, spec, coords, lat.basis[None])
     total = int(np.count_nonzero(ok))
     res = CountResult(total=total, degenerate=int(np.count_nonzero(degenerate)))
     if spec.A is not None:

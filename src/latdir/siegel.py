@@ -3,23 +3,23 @@
 The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
 it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
-stream per sample index so results are independent of execution order.
+stream per sample index so results do not depend on how samples are grouped.
 Test functions see each point's integer coordinates and lattice, so the
 thinning-region indicator decides its points with the lattice counting
-predicate, exact recheck included, and `thm3_ratio` counts through
-`count_region` itself.
+predicate, exact recheck included.  `thm3_ratio` stacks the flowed bases of
+all its samples and counts them in one chunked pass of
+`lattice.enumerate_stacked` and `lattice._classify`, with no thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import (Lattice, RegionSpec, _classify, count_region,
-                      enumerate_in_box, g_flow, region_volume)
+from .lattice import (Lattice, RegionSpec, _classify, enumerate_in_box,
+                      enumerate_stacked, g_flow, region_volume)
 from .sphere import DirectionSet
 
 ORTHO_TOL = 1e-10
@@ -126,7 +126,7 @@ class RegionIndicator(TestFunction):
         return region_volume(self.spec)
 
     def evaluate(self, points, coords=None, lat=None):
-        ok, _, in_A = _classify(points, self.spec, coords, lat)
+        ok, _, in_A = _classify(points, self.spec, coords, None if lat is None else lat.basis[None])
         return (ok if in_A is None else in_A).astype(float)
 
 
@@ -183,13 +183,6 @@ def _sample_rotation(seed: int, index: int, n: int) -> np.ndarray:
     return haar_rotation(n, rng)
 
 
-def _map_samples(fn, M: int, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(M)))
-    return [fn(i) for i in range(M)]
-
-
 def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int,
                       *, keep_trace: bool = False) -> MCEstimate:
     """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
@@ -234,13 +227,17 @@ class RatioEstimate:
 
 def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed: int,
                *, c: float = 0.0, budget: int | None = None,
-               keep_trace: bool = False, threads: int = 1) -> RatioEstimate:
+               keep_trace: bool = False) -> RatioEstimate:
     """Paired estimate of the direction-restricted count fraction.
 
     Numerator and denominator share every rotation sample: both are read off
-    one `count_region` of the flowed lattice (in_A over total), which kills
-    most of the variance of the ratio; the error bar is the delta-method
-    expansion.
+    one region count of the flowed lattice g_t k_i Lambda (in_A over total),
+    which kills most of the variance of the ratio; the error bar is the
+    delta-method expansion.  The M flowed bases are stacked and enumerated in
+    one chunked pass over the region's box, and each block of whole boxes is
+    classified as it comes, so the points of all M samples are never held at
+    once.  Each sample's counts equal `count_region` on its own lattice;
+    `budget` caps each sample's box.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -249,14 +246,14 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     d = lat.dim - 1
     spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
     g = g_flow(t, d)
-
-    def one(i: int) -> tuple[float, float]:
-        k = _sample_rotation(seed, i, lat.dim)
-        res = count_region(Lattice(g @ k @ lat.basis, check=False), spec, budget=budget)
-        return float(res.in_A), float(res.total)
-
-    pairs = np.array(_map_samples(one, M, threads))
-    xs, ys = pairs[:, 0], pairs[:, 1]
+    bases = np.stack([g @ _sample_rotation(seed, i, lat.dim) @ lat.basis for i in range(M)])
+    box_lo, box_hi = spec.bounding_box()
+    pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
+    xs, ys = np.zeros(M), np.zeros(M)
+    for which, pts, ns in enumerate_stacked(bases, box_lo - pad, box_hi + pad, budget=budget):
+        ok, _, in_A = _classify(pts, spec, ns, bases, which)
+        xs += np.bincount(which[in_A], minlength=M)
+        ys += np.bincount(which[ok], minlength=M)
     mean_y = float(ys.mean())
     if mean_y == 0.0:
         raise ZeroDenominator("no lattice points hit the region; increase t or M")

@@ -111,6 +111,23 @@ def test_budget_flag_is_thm3_only(tmp_path, capsys):
     assert not (tmp_path / "thm1-report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["biased-census", "--nmax", "3"],
+                                  ["biased-ratio", "--nmax", "5", "--A", "sign:-1"]])
+def test_biased_experiments_reject_d_other_than_1(tmp_path, capsys, argv):
+    # the biased number is one real target; --d 3 used to run a d = 1 report labelled d = 3
+    assert cli.main(["run", *argv, "--d", "3", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "--d must be 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_threads_other_than_1_is_a_config_error(tmp_path, capsys):
+    # sampling is batched, so a thread count would be silently ignored
+    assert cli.main(["run", "thm3", "--d", "1", "--t", "2", "--M", "4", "--threads", "4",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "batched" in capsys.readouterr().err
+    assert not (tmp_path / "thm3-report.json").exists()
+
+
 def test_unknown_experiment_is_usage_error():
     with pytest.raises(SystemExit) as e:
         cli.main(["run", "telepathy"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,16 @@ def test_classify_examples():
     spec = RegionSpec("R", 1, T=10, c=1, eps=0.5, norm="sup", A=MINUS)
     ok, degenerate, in_A = lm._classify(np.array([[0.0, 7.0]]), spec)
     assert ok.tolist() == degenerate.tolist() == [True] and in_A.tolist() == [False]
+
+
+def test_classify_rechecks_each_grazer_on_its_own_basis():
+    # two grazing points n = (1, 1), one on each basis of a stack: exactly on
+    # the boundary |v_1| |v_2| = 1 on basis 1, 2^-39 beyond it on basis 0
+    bases = np.array([np.diag([2.0, 0.5 + 2.0**-40]), np.diag([2.0, 0.5])])
+    spec = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1)
+    points = np.array([[2.0, 0.5 + 2.0**-40], [2.0, 0.5]])
+    ok, _, _ = lm._classify(points, spec, np.ones((2, 2), np.int64), bases, np.array([0, 1]))
+    assert ok.tolist() == [False, True]
 
 
 def test_region_validation():
@@ -231,6 +242,117 @@ def test_enumerate_skewed_needle_preimage():
     moved = Lattice(g @ lat.basis, check=False)
     spec_1 = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.25, norm="sup")
     assert count_region(moved, spec_1).total == direct.total
+
+
+# -- stacked enumeration -------------------------------------------------------
+
+def _stacked(bases, lo, hi, **kw):
+    """All blocks of `enumerate_stacked` joined, checking that they come in
+    (which, n) order and that a basis never spans two blocks."""
+    blocks = list(lm.enumerate_stacked(np.asarray(bases), lo, hi, **kw))
+    for (w0, _, _), (w1, _, _) in zip(blocks, blocks[1:]):
+        assert w0[-1] < w1[0]
+    if not blocks:
+        return np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros((0, 2), np.int64)
+    which, pts, ns = (np.concatenate(part) for part in zip(*blocks))
+    keys = [(int(k), *map(int, n)) for k, n in zip(which, ns)]
+    assert keys == sorted(keys)
+    return which, pts, ns
+
+
+def _brute_force_2d(B, lo, hi) -> np.ndarray:
+    """Every nonzero n in Z^2 with lo <= n @ B.T <= hi, sorted: scan n_0 over
+    a bound from B^{-1}, take each n_1 the row with the larger n_1
+    coefficient allows (widened by 1), and test the float point."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    corner = np.maximum(np.abs(lo), np.abs(hi))
+    r = int(np.ceil(np.abs(np.linalg.inv(B)[0]) @ corner)) + 1
+    i = int(np.argmax(np.abs(B[:, 1])))
+    cands = []
+    for n0 in range(-r, r + 1):
+        ends = sorted(((lo[i] - B[i, 0] * n0) / B[i, 1], (hi[i] - B[i, 0] * n0) / B[i, 1]))
+        cands += [(n0, n1) for n1 in range(math.floor(ends[0]) - 1, math.ceil(ends[1]) + 2)]
+    ns = np.array([n for n in cands if n != (0, 0)], dtype=np.int64)
+    pts = ns.astype(float) @ B.T
+    ns = ns[np.all((pts >= lo) & (pts <= hi), axis=1)]
+    return ns[np.lexsort(ns.T[::-1])]
+
+
+def test_stacked_mixes_flow_times():
+    # flowed Haar bases at t = 0, 3 and 8 in one stack, against one
+    # enumeration per basis and the brute-force scan
+    lo, hi = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1).bounding_box()
+    rng = np.random.default_rng(11)
+    bases = [g_flow(t, 1) @ haar_rotation(2, rng) for _ in range(4) for t in (0.0, 3.0, 8.0)]
+    which, pts, ns = _stacked(bases, lo, hi)
+    assert set(which.tolist()) == set(range(len(bases)))
+    for k, B in enumerate(bases):
+        one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
+        assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
+        assert np.array_equal(one_ns, _brute_force_2d(B, lo, hi))
+
+
+def test_stacked_takes_one_box_per_basis():
+    rng = np.random.default_rng(3)
+    bases = [haar_rotation(2, rng), np.eye(2), g_flow(2.0, 1) @ haar_rotation(2, rng), np.eye(2)]
+    lo = np.array([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]])
+    hi = np.array([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]])
+    which, pts, ns = _stacked(bases, lo, hi)
+    # Z^2 has no point in [0.2, 0.8]^2, so basis 1 yields nothing; box 3 has width 0 in x
+    assert set(which.tolist()) == {0, 2, 3}
+    for k, B in enumerate(bases):
+        one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo[k], hi[k])
+        assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
+        assert np.array_equal(one_ns, _brute_force_2d(B, lo[k], hi[k]))
+    assert ns[which == 3].tolist() == [[0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3]]
+
+
+def test_stacked_expands_a_large_box_in_slices():
+    # 201^2 - 1 = 40,400 candidates span many chunks; a small box follows in the stack
+    assert 201**2 > 10 * lm.ENUM_CHUNK
+    small = haar_rotation(2, np.random.default_rng(8))
+    lo = np.array([[-100.0, -100.0], [-1.5, -1.5]])
+    hi = np.array([[100.0, 100.0], [1.5, 1.5]])
+    which, pts, ns = _stacked([np.eye(2), small], lo, hi)
+    big = ns[which == 0]
+    assert len(big) == 40_400
+    grid = np.stack(np.meshgrid(np.arange(-100, 101), np.arange(-100, 101), indexing="ij"), -1).reshape(-1, 2)
+    assert np.array_equal(big, grid[np.any(grid != 0, axis=1)])
+    assert np.array_equal(pts[which == 0], big.astype(float))
+    assert np.array_equal(ns[which == 1], _brute_force_2d(small, lo[1], hi[1]))
+    pts_one, ns_one = enumerate_in_box(Z2, lo[0], hi[0])
+    assert np.array_equal(ns_one, big) and np.array_equal(pts_one, pts[which == 0])
+
+
+def test_stacked_degenerate_basis_raises():
+    stack = [np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2)]
+    with pytest.raises(CandidateBudgetExceeded, match="degenerate"):
+        next(lm.enumerate_stacked(np.array(stack), [-1.5, -1.5], [1.5, 1.5]))
+
+
+def test_stacked_over_budget_box_raises_before_any_candidate():
+    # the first box is fine, the second holds 1,002,001 candidates: the check
+    # covers every box before the first chunk, and nothing is allocated for it
+    lo = np.array([[-1.5, -1.5], [-500.0, -500.0]])
+    hi = np.array([[1.5, 1.5], [500.0, 500.0]])
+    blocks = lm.enumerate_stacked(np.array([np.eye(2), np.eye(2)]), lo, hi, budget=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CandidateBudgetExceeded, match="1002001 candidates exceeds budget 1000000"):
+            next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+def test_stacked_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        next(lm.enumerate_stacked(np.eye(2), [0.0, 0.0], [1.0, 1.0]))
+    with pytest.raises(ValueError):
+        next(lm.enumerate_stacked(np.array([np.eye(2)] * 2), np.zeros((3, 2)), np.ones((3, 2))))
+    with pytest.raises(ValueError):
+        next(lm.enumerate_stacked(np.array([np.eye(2)]), [1.0, 0.0], [0.0, 1.0]))
 
 
 # -- counting -------------------------------------------------------------------

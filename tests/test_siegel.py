@@ -149,14 +149,6 @@ def test_ratio_d1_sign_sets():
     assert r.vol_reference == 0.5
 
 
-def test_thm3_threads_match_serial():
-    A = Hemisphere((1.0, 0.0))
-    a = thm3_ratio(Z3, A, eps=0.15, t=3.0, M=30, seed=2, keep_trace=True)
-    b = thm3_ratio(Z3, A, eps=0.15, t=3.0, M=30, seed=2, keep_trace=True, threads=4)
-    assert a.numerator.values == b.numerator.values
-    assert a.denominator.values == b.denominator.values
-
-
 @pytest.mark.parametrize("M", [0, 1])
 def test_thm3_ratio_needs_two_samples(M):
     with pytest.raises(ValueError, match="at least 2 samples"):
@@ -171,10 +163,10 @@ def test_ratio_zero_denominator():
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(1, 2), seed=st.integers(0, 2**16), t=st.floats(1.0, 7.0),
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.floats(1.0, 7.0),
        eps=st.sampled_from([0.05, 0.1, 0.3]))
 def test_thm3_counts_are_region_counts(d, seed, t, eps):
-    A = SignSet(frozenset({-1})) if d == 1 else Hemisphere((1.0, 0.0))
+    A = SignSet(frozenset({-1})) if d == 1 else Hemisphere((1.0,) + (0.0,) * (d - 1))
     try:
         r = thm3_ratio(Lattice(np.eye(d + 1)), A, eps=eps, t=t, M=4, seed=seed, keep_trace=True)
     except ZeroDenominator:
