@@ -443,6 +443,13 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
             yield which[order], pts[order], ns[order]
 
 
+def pad_box(box_lo, box_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The closed box widened by 1e-9 (|lo| + |hi| + 1) on every side, so
+    points that graze its faces in floating point reach the exact recheck."""
+    pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
+    return box_lo - pad, box_hi + pad
+
+
 def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero lattice points in the closed axis-aligned box, exhaustively:
@@ -559,9 +566,7 @@ def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
         pts = np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)])
         ns = np.column_stack([-p, q])
     else:
-        box_lo, box_hi = spec.bounding_box()
-        pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
-        pts, ns = enumerate_in_box(lat, box_lo - pad, box_hi + pad, budget=budget)
+        pts, ns = enumerate_in_box(lat, *pad_box(*spec.bounding_box()), budget=budget)
     return _count_from_points(pts, spec, ns, lat, want_witnesses)
 
 

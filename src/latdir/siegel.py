@@ -4,11 +4,12 @@ The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
 it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
 stream per sample index so results do not depend on how samples are grouped.
-Test functions see each point's integer coordinates and lattice, so the
-thinning-region indicator decides its points with the lattice counting
-predicate, exact recheck included.  `thm3_ratio` stacks the flowed bases of
-all its samples and counts them in one chunked pass of
-`lattice.enumerate_stacked` and `lattice._classify`, with no thread pool.
+`spherical_average` and its paired ratio `thm3_ratio` share one driver: it
+stacks the M flowed bases and enumerates them in one chunked pass of
+`lattice.enumerate_stacked`, with no thread pool.  Test functions see each
+point's integer coordinates and basis, so the thinning-region indicator
+decides its points with the lattice counting predicate `lattice._classify`,
+exact recheck included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import (Lattice, RegionSpec, _classify, enumerate_in_box,
-                      enumerate_stacked, g_flow, region_volume)
+                      enumerate_stacked, g_flow, pad_box, region_volume)
 from .sphere import DirectionSet
 
 ORTHO_TOL = 1e-10
@@ -41,8 +42,10 @@ class TestFunction:
     def integral(self) -> float:
         raise NotImplementedError
 
-    def evaluate(self, points: np.ndarray, coords=None, lat=None) -> np.ndarray:
-        """f at each point; `coords` (integer coordinates on `lat`) let an
+    def evaluate(self, points: np.ndarray, coords=None, bases=None, which=None) -> np.ndarray:
+        """f at each point, given as `lattice._classify` takes them: `coords`
+        are the integer coordinates on the (K, n, n) stack `bases` and `which`
+        each point's index into it (all 0 when omitted).  They let an
         indicator re-decide boundary-grazing points exactly."""
         raise NotImplementedError
 
@@ -68,7 +71,7 @@ class BoxIndicator(TestFunction):
     def integral(self) -> float:
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
-    def evaluate(self, points, coords=None, lat=None):
+    def evaluate(self, points, coords=None, bases=None, which=None):
         lo, hi = self.support_box()
         ok = np.all(points >= lo[None, :], axis=1) & np.all(points <= hi[None, :], axis=1)
         return ok.astype(float)
@@ -94,7 +97,7 @@ class RadialIndicator(TestFunction):
         from .sphere import ball_volume
         return ball_volume(self.dim, self.r_max) - ball_volume(self.dim, self.r_min)
 
-    def evaluate(self, points, coords=None, lat=None):
+    def evaluate(self, points, coords=None, bases=None, which=None):
         r = np.sqrt(np.sum(points * points, axis=1))
         return ((r >= self.r_min) & (r <= self.r_max)).astype(float)
 
@@ -125,8 +128,8 @@ class RegionIndicator(TestFunction):
     def integral(self) -> float:
         return region_volume(self.spec)
 
-    def evaluate(self, points, coords=None, lat=None):
-        ok, _, in_A = _classify(points, self.spec, coords, None if lat is None else lat.basis[None])
+    def evaluate(self, points, coords=None, bases=None, which=None):
+        ok, _, in_A = _classify(points, self.spec, coords, bases, which)
         return (ok if in_A is None else in_A).astype(float)
 
 
@@ -135,12 +138,10 @@ class RegionIndicator(TestFunction):
 
 def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     """Sum of f over the nonzero lattice points."""
-    lo, hi = f.support_box()
-    pad = 1e-9 * (np.abs(lo) + np.abs(hi) + 1.0)
-    pts, ns = enumerate_in_box(lat, lo - pad, hi + pad)
+    pts, ns = enumerate_in_box(lat, *pad_box(*f.support_box()))
     if not len(pts):
         return 0.0
-    return float(np.sum(f.evaluate(pts, ns, lat)))
+    return float(np.sum(f.evaluate(pts, ns, lat.basis[None])))
 
 
 def haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,32 +184,41 @@ def _sample_rotation(seed: int, index: int, n: int) -> np.ndarray:
     return haar_rotation(n, rng)
 
 
+def _flowed_blocks(lat: Lattice, t: float, M: int, seed: int, box, budget: int | None = None):
+    """Blocks (which, points, coords, bases) of the nonzero points of the M
+    flowed lattices g_t k_i Lambda in the padded closed `box`, from one
+    chunked pass of `enumerate_stacked` over their stacked bases."""
+    if M < 2:
+        raise ValueError("need at least 2 samples")
+    g = g_flow(t, lat.dim - 1)
+    bases = np.stack([g @ _sample_rotation(seed, i, lat.dim) @ lat.basis for i in range(M)])
+    for which, pts, ns in enumerate_stacked(bases, *pad_box(*box), budget=budget):
+        yield which, pts, ns, bases
+
+
+def _estimate(vals: np.ndarray, t: float, seed: int, reference: float, keep_trace: bool) -> MCEstimate:
+    M = len(vals)
+    return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(M)), M, t, seed,
+                      reference, vals.tolist() if keep_trace else None)
+
+
 def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int,
                       *, keep_trace: bool = False) -> MCEstimate:
     """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
 
-    Enumeration reduces each flowed basis first, so its cost stays flat in t
-    while float coordinates are accurate.  Once the condition number e^{(d+1)t}
-    nears 1/machine-epsilon, the rounding margin widens the candidate box, and
-    a box past the budget raises CandidateBudgetExceeded instead of silently
-    truncating.
+    The M flowed bases are stacked and enumerated in one chunked pass over
+    f's padded support box; each sample's sum of f is a bincount of the
+    points' sample indices, so a sample without points counts 0.  The points
+    held at once are set by the enumeration chunk, not by M.  Reducing each
+    flowed basis keeps the cost flat in t until the condition number
+    e^{(d+1)t} nears 1/machine-epsilon and the rounding margin widens the
+    box.  The candidate budget applies per box: one past it raises
+    CandidateBudgetExceeded instead of silently truncating.
     """
-    if M < 2:
-        raise ValueError("need at least 2 samples")
-    n = lat.dim
-    g = g_flow(t, n - 1)
-
-    def one(i: int) -> float:
-        k = _sample_rotation(seed, i, n)
-        moved = Lattice(g @ k @ lat.basis, check=False)
-        return siegel_transform(f, moved)
-
-    vals = np.array([one(i) for i in range(M)])
-    est = MCEstimate(mean=float(vals.mean()), stderr=float(vals.std(ddof=1) / math.sqrt(M)),
-                     samples=M, t=t, seed=seed, integral_reference=f.integral())
-    if keep_trace:
-        est.values = vals.tolist()
-    return est
+    sums = np.zeros(M)
+    for which, pts, ns, bases in _flowed_blocks(lat, t, M, seed, f.support_box()):
+        sums += np.bincount(which, weights=f.evaluate(pts, ns, bases, which), minlength=M)
+    return _estimate(sums, t, seed, f.integral(), keep_trace)
 
 
 @dataclass
@@ -233,41 +243,24 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     Numerator and denominator share every rotation sample: both are read off
     one region count of the flowed lattice g_t k_i Lambda (in_A over total),
     which kills most of the variance of the ratio; the error bar is the
-    delta-method expansion.  The M flowed bases are stacked and enumerated in
-    one chunked pass over the region's box, and each block of whole boxes is
-    classified as it comes, so the points of all M samples are never held at
-    once.  Each sample's counts equal `count_region` on its own lattice;
-    `budget` caps each sample's box.
+    delta-method expansion.  The samples come from the driver of
+    `spherical_average`, so each sample's counts equal `count_region` on its
+    own lattice; `budget` caps each sample's box.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if M < 2:
-        raise ValueError("need at least 2 samples")
     d = lat.dim - 1
     spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
-    g = g_flow(t, d)
-    bases = np.stack([g @ _sample_rotation(seed, i, lat.dim) @ lat.basis for i in range(M)])
-    box_lo, box_hi = spec.bounding_box()
-    pad = 1e-9 * (np.abs(box_lo) + np.abs(box_hi) + 1.0)
     xs, ys = np.zeros(M), np.zeros(M)
-    for which, pts, ns in enumerate_stacked(bases, box_lo - pad, box_hi + pad, budget=budget):
+    for which, pts, ns, bases in _flowed_blocks(lat, t, M, seed, spec.bounding_box(), budget):
         ok, _, in_A = _classify(pts, spec, ns, bases, which)
         xs += np.bincount(which[in_A], minlength=M)
         ys += np.bincount(which[ok], minlength=M)
-    mean_y = float(ys.mean())
-    if mean_y == 0.0:
+    num = _estimate(xs, t, seed, region_volume(spec), keep_trace)
+    den = _estimate(ys, t, seed, region_volume(replace(spec, A=None)), keep_trace)
+    if den.mean == 0.0:
         raise ZeroDenominator("no lattice points hit the region; increase t or M")
-    mean_x = float(xs.mean())
-    ratio = mean_x / mean_y
+    ratio = num.mean / den.mean
     cov = np.cov(xs, ys, ddof=1)
-    var = (cov[0, 0] - 2 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / M / mean_y**2
-    stderr = math.sqrt(max(var, 0.0))
-
-    num = MCEstimate(mean_x, float(xs.std(ddof=1) / math.sqrt(M)), M, t, seed,
-                     integral_reference=region_volume(spec))
-    den = MCEstimate(mean_y, float(ys.std(ddof=1) / math.sqrt(M)), M, t, seed,
-                     integral_reference=region_volume(replace(spec, A=None)))
-    if keep_trace:
-        num.values = xs.tolist()
-        den.values = ys.tolist()
-    return RatioEstimate(ratio, stderr, num, den, A.measure())
+    var = (cov[0, 0] - 2 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / M / den.mean**2
+    return RatioEstimate(ratio, math.sqrt(max(var, 0.0)), num, den, A.measure())

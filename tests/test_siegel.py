@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latdir import siegel as sg
+from latdir.contfrac import biased_number
 from latdir.lattice import (Lattice, RegionSpec, count_region, g_flow, lattice_from_x,
                             region_volume)
 from latdir.siegel import (BoxIndicator, MCEstimate, RadialIndicator,
@@ -43,6 +45,29 @@ def test_region_indicator_agrees_with_count_region_on_a_grazing_point(c):
     lat = Lattice(np.array([[10.0, 0.1], [0.0, 0.1]]), check=False)
     spec = RegionSpec("R", 1, T=1.0, c=c, eps=0.1)
     assert siegel_transform(RegionIndicator(spec), lat) == count_region(lat, spec).total == 3
+
+
+def test_padded_box_keeps_a_point_on_the_corner_of_the_region():
+    # n = (5, 1) is exactly (2, 1/2), on |v_1| v_2 = c and on the corner of the
+    # region's box, but its float v_1 rounds above 2: only the box pad lets it
+    # reach the exact recheck
+    p, q = 0.8872418141008054, -2.436209070504027
+    lat = Lattice(np.array([[p, q], [0.0, 0.5]]), check=False)
+    spec = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.5)
+    exact = sum(abs(n1 * Fraction(p) + n2 * Fraction(q)) * Fraction(n2, 2) <= 1
+                for n1 in range(-20, 21) for n2 in (1, 2))
+    assert exact == 7
+    assert siegel_transform(RegionIndicator(spec), lat) == count_region(lat, spec).total == 7
+
+
+def test_region_indicator_rechecks_each_grazer_on_its_own_basis():
+    # n = (1, 1) on a stack of two bases: 2^-39 beyond |v_1| |v_2| = 1 on
+    # basis 0, exactly on it on basis 1
+    bases = np.array([np.diag([2.0, 0.5 + 2.0**-40]), np.diag([2.0, 0.5])])
+    f = RegionIndicator(RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1))
+    points = np.array([[2.0, 0.5 + 2.0**-40], [2.0, 0.5]])
+    values = f.evaluate(points, np.ones((2, 2), np.int64), bases, np.array([0, 1]))
+    assert values.tolist() == [0.0, 1.0]
 
 
 def test_radial_indicator():
@@ -162,22 +187,56 @@ def test_ratio_zero_denominator():
         thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.0, t=1.0, M=4, seed=0)
 
 
+def _flowed(lat, t, M, seed):
+    """Each sample's own flowed lattice g_t k_i Lambda, one at a time."""
+    g = g_flow(t, lat.dim - 1)
+    return [Lattice(g @ sg._sample_rotation(seed, i, lat.dim) @ lat.basis, check=False)
+            for i in range(M)]
+
+
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.floats(1.0, 7.0),
-       eps=st.sampled_from([0.05, 0.1, 0.3]))
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.floats(0.0, 7.0),
+       eps=st.sampled_from([0.05, 0.1, 0.3, 0.97]))
+@example(d=1, seed=0, t=0.05, eps=0.97)  # no sample has a point in the region
+@example(d=1, seed=18, t=2.0, eps=0.97)  # every f is 0 on the last sample, not on all
 def test_thm3_counts_are_region_counts(d, seed, t, eps):
     A = SignSet(frozenset({-1})) if d == 1 else Hemisphere((1.0,) + (0.0,) * (d - 1))
-    try:
-        r = thm3_ratio(Lattice(np.eye(d + 1)), A, eps=eps, t=t, M=4, seed=seed, keep_trace=True)
-    except ZeroDenominator:
-        assume(False)
+    lat = Lattice(np.eye(d + 1))
     spec = RegionSpec("R", d, T=1.0, eps=eps, A=A)
-    for i in range(4):
-        moved = Lattice(g_flow(t, d) @ sg._sample_rotation(seed, i, d + 1), check=False)
-        res = count_region(moved, spec)
-        assert (r.numerator.values[i], r.denominator.values[i]) == (res.in_A, res.total)
-        assert siegel_transform(RegionIndicator(spec), moved) == res.in_A
-        assert siegel_transform(RegionIndicator(replace(spec, A=None)), moved) == res.total
+    moved = _flowed(lat, t, 4, seed)
+    counts = [count_region(m, spec) for m in moved]
+    try:
+        r = thm3_ratio(lat, A, eps=eps, t=t, M=4, seed=seed, keep_trace=True)
+        assert r.numerator.values == [res.in_A for res in counts]
+        assert r.denominator.values == [res.total for res in counts]
+    except ZeroDenominator:
+        assert all(res.total == 0 for res in counts)
+    fs = [RegionIndicator(spec), RegionIndicator(replace(spec, A=None)),
+          BoxIndicator((-0.5,) * d + (eps,), (0.5,) * d + (1.0,)),
+          RadialIndicator(eps, 1.0, d + 1)]
+    for f in fs:
+        est = spherical_average(f, lat, t, 4, seed, keep_trace=True)
+        assert est.values == [siegel_transform(f, m) for m in moved]
+    assert [siegel_transform(fs[0], m) for m in moved] == [res.in_A for res in counts]
+    assert [siegel_transform(fs[1], m) for m in moved] == [res.total for res in counts]
+
+
+# -- every unimodular lattice, not only Z^{d+1} -------------------------------------
+
+@pytest.mark.parametrize("t, ratio, stderr", [(3.0, 0.4916, 0.0076), (6.0, 0.5058, 0.0106)])
+def test_thm3_equidistributes_on_the_biased_horospherical_lattice(t, ratio, stderr):
+    r = thm3_ratio(lattice_from_x(biased_number()), SignSet(frozenset({-1})),
+                   eps=0.1, t=t, M=2000, seed=3)
+    assert (round(r.ratio, 4), round(r.stderr, 4)) == (ratio, stderr)
+    assert abs(r.ratio - r.vol_reference) <= 3 * r.stderr
+
+
+def test_thm3_equidistributes_on_a_random_unimodular_lattice():
+    B = np.random.default_rng(2013).standard_normal((3, 3))
+    B[:, 0] *= np.sign(np.linalg.det(B))
+    B /= np.linalg.det(B) ** (1.0 / 3.0)
+    r = thm3_ratio(Lattice(B), Hemisphere((1.0, 0.0)), eps=0.1, t=6.0, M=2000, seed=3)
+    assert abs(r.ratio - r.vol_reference) <= 3 * r.stderr
 
 
 def test_mc_estimate_json():
