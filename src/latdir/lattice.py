@@ -11,10 +11,11 @@ enumerator and then filtered by the one region predicate, `_classify`, which
 re-decides points grazing the scalar boundary in exact rationals from their
 integer coordinates and the basis.  Lattice counts here and the Siegel
 transforms of `siegel.RegionIndicator` both go through it.  The enumerator
-LLL-reduces the basis first and scans a plain integer box in the reduced
-coordinates, so its cost does not grow with the condition number of a flowed
-basis g_t k B.  It takes a whole stack of bases and walks the candidates of
-all their boxes in fixed-size chunks, so the Monte Carlo driver
+LLL-reduces the basis in the metric of its box first and scans a plain
+integer box in the reduced coordinates, so its cost does not grow with the
+condition number of a flowed basis g_t k B.  It takes a whole stack of bases,
+reduces a large stack in one vectorised LLL pass, and walks the candidates
+of all their boxes in fixed-size chunks, so the Monte Carlo driver
 (`siegel.thm3_ratio`) counts all its samples in one pass.  Horospherical
 lattices h_x Z^{d+1} (float Dirichlet approximates and shell counts) go
 through the same enumerator: the q-window is cut into geometric shells, and
@@ -258,6 +259,9 @@ def region_volume(spec: RegionSpec) -> float:
 
 LLL_DELTA = 0.75
 LLL_STEP_CAP = 5000  # a capped, partly reduced basis only costs candidates
+U_ENTRY_CAP = 2**53  # below it the entries of U are exact in float and in int64
+TOO_ILL_CONDITIONED = "ill-conditioned basis: the reduction needs transform entries beyond float precision"
+LLL_STACK_MIN = 32  # measured crossover: stacks this large take the vectorised LLL
 
 
 def _lll_transform(B: np.ndarray) -> list[list[int]]:
@@ -295,6 +299,8 @@ def _lll_transform(B: np.ndarray) -> list[list[int]]:
         for j in range(k - 1, -1, -1):  # size-reduce b_k
             q = round(mu[k][j])
             if q:
+                if abs(q) * max(map(abs, u[j])) + max(map(abs, u[k])) >= U_ENTRY_CAP:
+                    raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 for i in range(j):
@@ -308,17 +314,73 @@ def _lll_transform(B: np.ndarray) -> list[list[int]]:
             if k == 1:
                 gs_row(0)
             k = max(k - 1, 1)
-    if abs(_int_det(u)) != 1:
-        raise ArithmeticError("basis reduction produced a non-unimodular transform")
+    _require_unimodular(u)
     return u
 
 
+def _lll_stacked(A: np.ndarray) -> np.ndarray:
+    """Exact unimodular U, a (K, n, n) int64 stack, with every A[k] U[k]
+    LLL-reduced (delta = 3/4), in one vectorised pass over the stack.
+
+    Each round recomputes A U for the bases still active, takes one stacked
+    QR, size-reduces every column on R (the same column operations on R and
+    U), and swaps the pair at the first Lovasz violation; a basis without
+    one is done.  As in `_lll_transform`, a float slip costs candidates,
+    never points, and a basis still active after LLL_STEP_CAP rounds keeps
+    its partly reduced U.
+    """
+    K, n = A.shape[:2]
+    U = np.broadcast_to(np.eye(n, dtype=np.int64), (K, n, n)).copy()
+    active = np.arange(K)
+    for _ in range(LLL_STEP_CAP):
+        if not len(active):
+            break
+        Ua = U[active]
+        R = np.linalg.qr(A[active] @ Ua, mode="r")
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if not np.all((diag > 0.0) & (diag < math.inf)):
+            raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
+        for j in range(1, n):
+            for i in range(j - 1, -1, -1):
+                q = np.rint(R[:, i, j] / R[:, i, i])
+                grown = np.abs(q) * np.abs(Ua[:, :, i]).max(axis=1) + np.abs(Ua[:, :, j]).max(axis=1)
+                if not np.all(grown < U_ENTRY_CAP):  # also catches a NaN q
+                    raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
+                R[:, :i + 1, j] -= q[:, None] * R[:, :i + 1, i]
+                Ua[:, :, j] -= q.astype(np.int64)[:, None] * Ua[:, :, i]
+        r2 = np.diagonal(R, axis1=1, axis2=2) ** 2
+        above2 = R[:, np.arange(n - 1), np.arange(1, n)] ** 2  # R[k-1, k]^2
+        bad = r2[:, 1:] + above2 < LLL_DELTA * r2[:, :-1]
+        swap = np.flatnonzero(bad.any(axis=1))
+        k = bad[swap].argmax(axis=1)  # first violating pair (k, k + 1)
+        Ua[swap, :, k], Ua[swap, :, k + 1] = Ua[swap, :, k + 1], Ua[swap, :, k]
+        U[active] = Ua
+        active = active[swap]
+    for u in U.tolist():
+        _require_unimodular(u)
+    return U
+
+
+def _require_unimodular(u: list[list[int]]):
+    if abs(_int_det(u)) != 1:
+        raise ArithmeticError("basis reduction produced a non-unimodular transform")
+
+
 def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by cofactor expansion (small dimensions)."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum((-1) ** j * a * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, a in enumerate(rows[0]) if a)
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev  # exact division
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _int_bounds(lo: np.ndarray, hi: np.ndarray):
@@ -351,13 +413,18 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
 
     `bases` is a (K, n, n) stack of bases (columns generate each lattice);
     the box is one (n,) pair for every basis or one (K, n) row per basis.
-    Each basis B is LLL-reduced to R = B U first, with U exact and
-    unimodular.  The box's preimage under R is covered by an integer box,
-    which stays small however ill-conditioned B is (a flowed g_t k basis has
-    condition number e^{(d+1)t}) until the rounding margin of the float
-    products dominates, near condition number 1e12.  The box is bounded from
-    a fresh product B U, so an imperfect float reduction costs candidates,
-    never points.
+    Each basis B gets an exact unimodular U that LLL-reduces diag(1/w) B, w
+    the widths of B's box, so R = B U is nearly orthogonal in the metric in
+    which the box is a cube (an axis of width 0 takes the box's largest).
+    The box's preimage under R is covered by an integer box, which stays
+    small however ill-conditioned B is (a flowed g_t k basis has condition
+    number e^{(d+1)t}) until the rounding margin of the float products
+    dominates, near condition number 1e12.  The box is bounded from a fresh
+    product B U, so an imperfect float reduction costs candidates, never
+    points, and the points do not depend on U.  A stack of at least
+    LLL_STACK_MIN bases is reduced in one vectorised pass (`_lll_stacked`),
+    a smaller one basis by basis (`_lll_transform`); the two cost the same
+    near that size.
 
     The candidates of all integer boxes form one mixed-radix index range,
     expanded ENUM_CHUNK at a time: each chunk forms n = U m and the points
@@ -371,7 +438,8 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
 
     Raises CandidateBudgetExceeded before expanding any candidate when an
     integer box holds more points than the budget (default 10^8, env
-    LATDIR_BUDGET), or when a basis is degenerate.
+    LATDIR_BUDGET), when a basis is degenerate, or when its reduction needs
+    entries of U of 2^53 or more.
     """
     Bs = np.asarray(bases, dtype=float)
     if Bs.ndim != 3 or Bs.shape[1] != Bs.shape[2] or not len(Bs):
@@ -385,9 +453,17 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
         raise ValueError("box endpoints out of order")
     lo, hi = np.broadcast_to(lo, (K, dim)), np.broadcast_to(hi, (K, dim))
     budget = budget if budget is not None else default_budget()
-    Us = np.empty((K, dim, dim), dtype=np.int64)
-    for U, B in zip(Us, Bs):
-        U[...] = np.array(_lll_transform(B)).T
+    # reduce diag(1/w) B, w the box's widths; a width that is 0 or infinite
+    # takes the box's largest finite width (1 if none), so the scale stays finite
+    w = hi - lo
+    usable = np.isfinite(w) & (w > 0.0)
+    widest = np.where(usable, w, 0.0).max(axis=1, keepdims=True)
+    w = np.where(usable, w, np.where(widest > 0.0, widest, 1.0))
+    scaled = Bs / w[:, :, None]
+    if K >= LLL_STACK_MIN:
+        Us = _lll_stacked(scaled)
+    else:
+        Us = np.array([_lll_transform(A) for A in scaled], dtype=np.int64).transpose(0, 2, 1)
     try:
         Rinv = np.linalg.inv(Bs @ Us)
     except np.linalg.LinAlgError:

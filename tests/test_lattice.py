@@ -153,14 +153,40 @@ def test_enumerate_budget_counts_huge_box_exactly():
         enumerate_in_box(Z2, [-1e12, -1e12], [1e12, 1e12])
 
 
-@pytest.mark.parametrize("basis", [[[1.0, 2.0], [2.0, 4.0]],
-                                   [[1.0, 0.0], [0.0, 0.0]],
-                                   [[1.0, 1.0], [1.0, 1.0 + 2.0**-45]],
-                                   [[1.0, 0.0], [0.0, math.nan]]])
-def test_enumerate_degenerate_basis_raises_budget(basis):
-    flat = Lattice(np.array(basis), check=False)
+DEGENERATE = [[[1.0, 2.0], [2.0, 4.0]],
+              [[1.0, 0.0], [0.0, 0.0]],
+              [[1.0, 1.0], [1.0, 1.0 + 2.0**-45]],
+              [[1.0, 0.0], [0.0, math.nan]]]
+PAST_CROSSOVER = lm.LLL_STACK_MIN  # stacks this large take the vectorised LLL
+
+
+@pytest.mark.parametrize("basis", DEGENERATE)
+def test_enumerate_degenerate_basis_raises_budget(basis, size=1):
+    # the basis comes last in a stack of `size`, after copies of Z^2
+    stack = np.array([np.eye(2)] * (size - 1) + [basis])
     with pytest.raises(CandidateBudgetExceeded):
-        enumerate_in_box(flat, [-1.0, -1.0], [1.0, 1.0])
+        next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("basis", DEGENERATE)
+def test_enumerate_degenerate_basis_raises_budget_past_the_crossover(basis):
+    test_enumerate_degenerate_basis_raises_budget(basis, size=PAST_CROSSOVER)
+
+
+def test_enumerate_infinite_box_raises_budget():
+    # an infinite width scales like a zero one, so the reduction runs and the
+    # unbounded preimage is what raises
+    with pytest.raises(CandidateBudgetExceeded, match="unbounded preimage"):
+        enumerate_in_box(Z2, [-math.inf, -1.0], [math.inf, 1.0])
+
+
+@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
+def test_enumerate_rejects_a_transform_beyond_float_precision(size):
+    # unimodular, but its reduction needs U entries of 10^20, which neither
+    # int64 nor the float product B U holds
+    stack = np.array([np.eye(2)] * (size - 1) + [[[1.0, 1e20], [0.0, 1.0]]])
+    with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
+        next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
 
 
 def test_enumerate_flowed_basis_needs_few_candidates_at_t10():
@@ -278,33 +304,101 @@ def _brute_force_2d(B, lo, hi) -> np.ndarray:
     return ns[np.lexsort(ns.T[::-1])]
 
 
-def test_stacked_mixes_flow_times():
-    # flowed Haar bases at t = 0, 3 and 8 in one stack, against one
-    # enumeration per basis and the brute-force scan
+def _repeat(items, size):
+    """`items` cycled to length `size` (at least one full copy)."""
+    return [items[k % len(items)] for k in range(max(size, len(items)))]
+
+
+def test_stacked_mixes_flow_times(size=12):
+    # flowed Haar bases at t = 0, 3 and 8 in one stack of `size`, against one
+    # enumeration per basis (a one-basis stack, reduced basis by basis) and
+    # the brute-force scan
     lo, hi = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(11)
-    bases = [g_flow(t, 1) @ haar_rotation(2, rng) for _ in range(4) for t in (0.0, 3.0, 8.0)]
+    distinct = [g_flow(t, 1) @ haar_rotation(2, rng) for _ in range(4) for t in (0.0, 3.0, 8.0)]
+    bases = _repeat(distinct, size)
     which, pts, ns = _stacked(bases, lo, hi)
     assert set(which.tolist()) == set(range(len(bases)))
-    for k, B in enumerate(bases):
+    for k, B in enumerate(distinct):
         one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
-        assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
         assert np.array_equal(one_ns, _brute_force_2d(B, lo, hi))
+        for copy in range(k, len(bases), len(distinct)):
+            assert np.array_equal(ns[which == copy], one_ns) and np.array_equal(pts[which == copy], one_pts)
 
 
-def test_stacked_takes_one_box_per_basis():
+def test_stacked_mixes_flow_times_past_the_crossover():
+    test_stacked_mixes_flow_times(size=PAST_CROSSOVER)
+
+
+def test_stacked_takes_one_box_per_basis(size=4):
     rng = np.random.default_rng(3)
-    bases = [haar_rotation(2, rng), np.eye(2), g_flow(2.0, 1) @ haar_rotation(2, rng), np.eye(2)]
-    lo = np.array([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]])
-    hi = np.array([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]])
+    distinct = [haar_rotation(2, rng), np.eye(2), g_flow(2.0, 1) @ haar_rotation(2, rng), np.eye(2)]
+    lo = np.array(_repeat([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]], size))
+    hi = np.array(_repeat([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]], size))
+    bases = _repeat(distinct, size)
     which, pts, ns = _stacked(bases, lo, hi)
     # Z^2 has no point in [0.2, 0.8]^2, so basis 1 yields nothing; box 3 has width 0 in x
-    assert set(which.tolist()) == {0, 2, 3}
+    assert set(which.tolist()) == {k for k in range(len(bases)) if k % 4 != 1}
     for k, B in enumerate(bases):
         one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo[k], hi[k])
         assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
-        assert np.array_equal(one_ns, _brute_force_2d(B, lo[k], hi[k]))
-    assert ns[which == 3].tolist() == [[0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3]]
+        if k < len(distinct):
+            assert np.array_equal(one_ns, _brute_force_2d(B, lo[k], hi[k]))
+    for k in range(3, len(bases), 4):
+        assert ns[which == k].tolist() == [[0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3]]
+
+
+def test_stacked_takes_one_box_per_basis_past_the_crossover():
+    test_stacked_takes_one_box_per_basis(size=PAST_CROSSOVER)
+
+
+def test_stacked_flowed_bases_in_dimension_four():
+    # n = 4 (d = 3, t = 6) past the crossover: every block equals that
+    # basis's own enumeration, which reduces it basis by basis
+    lo, hi = RegionSpec("R", 3, T=1.0, c=1.0, eps=0.1).bounding_box()
+    rng = np.random.default_rng(2026)
+    bases = [g_flow(6.0, 3) @ haar_rotation(4, rng) for _ in range(PAST_CROSSOVER)]
+    which, pts, ns = _stacked(bases, lo, hi)
+    assert len(set(which.tolist())) > PAST_CROSSOVER // 2
+    for k, B in enumerate(bases):
+        one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
+        assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
+
+
+@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
+def test_capped_reduction_keeps_every_point(size, monkeypatch):
+    # two steps or rounds leave the flowed bases partly reduced (at t = 2
+    # their integer boxes hold 5-50 times the candidates): U is still exact
+    # and unimodular, so the points are those of the full reduction
+    lo, hi = RegionSpec("R", 2, T=1.0, c=1.0, eps=0.1).bounding_box()
+    rng = np.random.default_rng(5)
+    bases = [g_flow(2.0, 2) @ haar_rotation(3, rng) for _ in range(size)]
+    full = _stacked(bases, lo, hi)
+    monkeypatch.setattr(lm, "LLL_STEP_CAP", 2)
+    capped = _stacked(bases, lo, hi)
+    assert len(full[0]) and all(np.array_equal(a, b) for a, b in zip(full, capped))
+
+
+@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
+def test_non_unimodular_transform_raises_arithmetic_error(size, monkeypatch):
+    monkeypatch.setattr(lm, "_int_det", lambda rows: 2)
+    with pytest.raises(ArithmeticError, match="non-unimodular"):
+        next(lm.enumerate_stacked(np.array([np.eye(2)] * size), [-1.5, -1.5], [1.5, 1.5]))
+
+
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=100, deadline=None)
+def test_int_det_matches_cofactor_expansion(rows):
+    assert lm._int_det(rows) == _cofactor_det(rows)
 
 
 def test_stacked_expands_a_large_box_in_slices():
@@ -324,10 +418,16 @@ def test_stacked_expands_a_large_box_in_slices():
     assert np.array_equal(ns_one, big) and np.array_equal(pts_one, pts[which == 0])
 
 
-def test_stacked_degenerate_basis_raises():
-    stack = [np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2)]
+def test_stacked_degenerate_basis_raises(size=3, basis=DEGENERATE[0]):
+    stack = [np.eye(2), np.array(basis)] + [np.eye(2)] * (size - 2)
     with pytest.raises(CandidateBudgetExceeded, match="degenerate"):
         next(lm.enumerate_stacked(np.array(stack), [-1.5, -1.5], [1.5, 1.5]))
+
+
+# singular and NaN; the near-singular basis trips the budget on both paths
+@pytest.mark.parametrize("basis", [DEGENERATE[0], DEGENERATE[1], DEGENERATE[3]])
+def test_stacked_degenerate_basis_raises_past_the_crossover(basis):
+    test_stacked_degenerate_basis_raises(PAST_CROSSOVER, basis)
 
 
 def test_stacked_over_budget_box_raises_before_any_candidate():

@@ -239,6 +239,16 @@ def test_thm3_equidistributes_on_a_random_unimodular_lattice():
     assert abs(r.ratio - r.vol_reference) <= 3 * r.stderr
 
 
+@pytest.mark.parametrize("d, A, budget", [(1, SignSet(frozenset({-1})), 200),
+                                         (2, Hemisphere((1.0, 0.0)), 650)])
+def test_thm3_boxes_fit_a_budget_only_the_box_metric_reduction_meets(d, A, budget):
+    # thm3's flowed bases at t = 6 (M = 500, seed 3): the largest per-sample
+    # integer box holds 121 (d = 1) and 442 (d = 2) candidates when each basis
+    # is reduced in its box's metric, 324 and 896 when it is reduced as it is
+    r = thm3_ratio(Lattice(np.eye(d + 1)), A, eps=0.1, t=6.0, M=500, seed=3, budget=budget)
+    assert r.denominator.mean > 0
+
+
 def test_mc_estimate_json():
     est = MCEstimate(1.0, 0.1, 10, 2.0, 7, integral_reference=0.9)
     obj = est.to_obj()
