@@ -18,7 +18,7 @@ def main() -> None:
     ap.add_argument("--nmax", type=int, default=7, help="largest level (odd, <= 9)")
     args = ap.parse_args()
 
-    rep = build_census(args.nmax, include_rows=False)
+    rep = build_census(args.nmax)
 
     print("level table (in-census multiplier intervals per remainder class)")
     for lv in rep.levels:

@@ -135,7 +135,7 @@ def check_census_completeness() -> tuple[bool, str]:
     bad = [q for q, _ in in_r if not census_mod.candidate_classes_ok(b, q)]
     if bad:
         return False, f"in-R points outside candidate classes: {bad[:5]}"
-    rep = census_mod.build_census(5, include_rows=False)
+    rep = census_mod.build_census(5)
     if rep.in_census_qs(q5 - 1) != in_r:
         return False, "census disagrees with the brute-force scan below q_5"
     return True, f"all {len(in_r)} in-R points below q_5 = {q5} lie in the 4 remainder classes"
@@ -144,7 +144,7 @@ def check_census_completeness() -> tuple[bool, str]:
 @_check("5 remainder-0 count lower bound")
 def check_l_bounds(full: bool = True) -> tuple[bool, str]:
     n_max = 9 if full else 7
-    rep = census_mod.build_census(n_max, include_rows=False)
+    rep = census_mod.build_census(n_max)
     checked = []
     for n in ([5, 7, 9] if full else [5, 7]):
         bound = math.isqrt((n + 1) ** (n + 1))
@@ -156,7 +156,7 @@ def check_l_bounds(full: bool = True) -> tuple[bool, str]:
 
 @_check("6 biased direction ratios")
 def check_bias_ratios(full: bool = True) -> tuple[bool, str]:
-    rep = census_mod.build_census(7, include_rows=False)
+    rep = census_mod.build_census(7)
     t_last = rep.thresholds[-1]
     for eps, frozen in FROZEN_BIAS_COUNTS.items():
         w_lo = max(1, math.ceil(eps * t_last))
@@ -173,7 +173,7 @@ def check_bias_ratios(full: bool = True) -> tuple[bool, str]:
             return False, f"eps={eps}: gaps not monotone: {[str(g) for g in gaps]}"
     detail = "gap >= 1/2 at T = L_7 q_7 and monotone over last 3 thresholds, eps in {0, .01, .1}"
     if full:
-        rep9 = census_mod.build_census(9, include_rows=False)
+        rep9 = census_mod.build_census(9)
         m, p = rep9.window_counts(1, rep9.thresholds[-1])
         if Fraction(m, m + p) < Fraction(3, 4):
             return False, f"minus share at the q_9-scale threshold is {Fraction(m, m+p)} < 3/4"

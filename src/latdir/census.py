@@ -14,6 +14,9 @@ a_{n+1} is 4 or 10^10.  The run of multiples of q_n is the remainder-0
 class and stays one interval; every other approximate is placed by its
 remainder mod q_n, and one that falls in none of the four classes raises
 rather than being dropped.
+
+The CSV rows are `CensusRows`, a view whose exact length comes from the pieces,
+so `ROW_TOTAL_CAP` is checked before any row exists; rows are streamed.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class CensusLevel:
 class CensusReport:
     n_max: int
     levels: list
-    rows: list  # CSV row dicts, see _materialize_rows
+    rows: CensusRows
     thresholds: list  # largest remainder-0 in-census q per odd level
     l_values: dict
 
@@ -93,34 +96,27 @@ class CensusReport:
         return minus, plus
 
     def in_census_qs(self, q_max: int) -> list[tuple[int, int]]:
-        """All (q, sign) with q <= q_max, expanded from the interval pieces."""
-        out = []
-        for level in self.levels:
-            qn = level.q_n
-            for cls in level.classes:
-                for a, b, s in cls.pieces:
-                    for m in range(a, b + 1):
-                        q = qn * m + cls.r
-                        if q <= q_max:
-                            out.append((q, s))
-        return sorted(out)
+        """All (q, sign) with q <= q_max, read off the in-census rows."""
+        return sorted((q, s) for *_, q, in_R, s in self.rows if in_R and q <= q_max)
 
 
 ROW_FULL_CAP = 512      # emit every candidate row when a_{n+1} is this small
 ROW_TOTAL_CAP = 500_000
+ROW_FIELDS = ("n", "r_label", "r", "m", "q", "in_R", "sign")
 
 
 class RowCapExceeded(RuntimeError):
     """The census rows would pass ROW_TOTAL_CAP; rows are never truncated."""
 
 
-def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool = True) -> CensusReport:
+def build_census(n_max: int, cf: CFNumber | None = None) -> CensusReport:
     """Levels 0..n_max of the biased census, exactly.
 
     Level 0 (1 <= q < q_1) is one class with m = q.  Levels n >= 1 need the
     four remainder classes to be distinct (2 q_{n-1} < q_n), which holds
     when a_1 >= 4 and every later element is >= 2; otherwise this raises
-    ValueError, as it does for an approximate outside the classes.
+    ValueError, as it does for an approximate outside the classes.  Raises
+    RowCapExceeded when the rows would pass ROW_TOTAL_CAP.
     """
     if n_max < 1 or n_max % 2 == 0:
         raise ValueError("n_max must be a positive odd index")
@@ -131,7 +127,9 @@ def build_census(n_max: int, cf: CFNumber | None = None, *, include_rows: bool =
     levels = _levels(cf, n_max, enc)
     l_values = {lv.n: lv.L for lv in levels if lv.n % 2 == 1}
     thresholds = [lv.top_zero_q for lv in levels if lv.n % 2 == 1 and lv.top_zero_q]
-    rows = _materialize_rows(levels, enc) if include_rows else []
+    rows = CensusRows(levels, enc)
+    if len(rows) > ROW_TOTAL_CAP:
+        raise RowCapExceeded(f"census rows exceed ROW_TOTAL_CAP = {ROW_TOTAL_CAP}")
     return CensusReport(n_max, levels, rows, thresholds, l_values)
 
 
@@ -202,33 +200,40 @@ def _row_sign(enc: Enclosure, level: CensusLevel, cls: ClassPieces, m: int) -> i
     return enc.decide(run)
 
 
-def _materialize_rows(levels, enc: Enclosure) -> list[dict]:
-    """The census rows as the CSV writes them (q as a decimal string).  A level
-    with a_{n+1} + 1 <= ROW_FULL_CAP gets every candidate; a bigger one only
-    its in-census points plus the first excluded candidate after each piece,
-    which witnesses the cutoff."""
-    rows: list[dict] = []
+class CensusRows:
+    """The census rows as the CSV writes them, one `ROW_FIELDS` tuple each
+    (q an int), made afresh from the pieces on every pass: every candidate
+    m_lo..m_hi of a class when a_{n+1} + 1 <= ROW_FULL_CAP, else its in-census
+    points plus the first excluded candidate after each piece, which witnesses
+    the cutoff.  `len` counts the same rows without making one."""
 
-    def add(level, cls, m, in_R, sign):
-        if len(rows) == ROW_TOTAL_CAP:
-            raise RowCapExceeded(f"census rows exceed ROW_TOTAL_CAP = {ROW_TOTAL_CAP}")
-        rows.append({"n": level.n, "r_label": cls.label, "r": cls.r, "m": m,
-                     "q": str(level.q_n * m + cls.r), "in_R": in_R, "sign": sign})
+    def __init__(self, levels: list, enc: Enclosure):
+        self.levels, self.enc = levels, enc
 
-    for level in levels:
-        full = level.a_next + 1 <= ROW_FULL_CAP
-        for cls in level.classes:
-            if full:
-                in_map = {m: s for a, b, s in cls.pieces for m in range(a, b + 1)}
-                for m in range(cls.m_lo, cls.m_hi + 1):
-                    add(level, cls, m, m in in_map, in_map.get(m) or _row_sign(enc, level, cls, m))
-            else:
+    def _runs(self):
+        """Runs (level, class, m_a, m_b, in_R, sign) of rows in order; sign 0: `_row_sign` per row."""
+        for level in self.levels:
+            full = level.a_next + 1 <= ROW_FULL_CAP
+            for cls in level.classes:
+                m = cls.m_lo
                 for a, b, s in cls.pieces:
-                    for m in range(a, b + 1):
-                        add(level, cls, m, True, s)
-                    if b + 1 <= cls.m_hi:
-                        add(level, cls, b + 1, False, _row_sign(enc, level, cls, b + 1))
-    return rows
+                    if full and m < a:
+                        yield level, cls, m, a - 1, False, 0
+                    yield level, cls, a, b, True, s
+                    m = b + 1
+                    if not full and m <= cls.m_hi:
+                        yield level, cls, m, m, False, 0
+                if full and m <= cls.m_hi:
+                    yield level, cls, m, cls.m_hi, False, 0
+
+    def __len__(self) -> int:
+        return sum(b - a + 1 for _, _, a, b, _, _ in self._runs())
+
+    def __iter__(self):
+        for level, cls, a, b, in_R, s in self._runs():
+            for m in range(a, b + 1):
+                yield (level.n, cls.label, cls.r, m, level.q_n * m + cls.r, in_R,
+                       s or _row_sign(self.enc, level, cls, m))
 
 
 def brute_force_in_R(cf: CFNumber, q_max: int) -> list[tuple[int, int]]:

@@ -17,7 +17,6 @@ q_n = a_n q_{n-1} + q_{n-2} (same recurrence for p).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -100,14 +99,12 @@ class CFNumber:
     """An irrational x = [0; a_1, a_2, ...] with a lazily grown prefix.
 
     ``rule(n)`` must return the n-th element (n >= 1) as a positive integer.
-    The materialized prefix only grows; extension is idempotent and guarded
-    by a lock, so concurrent readers always see a consistent prefix.
+    The materialized prefix only grows, and extension is idempotent.
     """
 
     def __init__(self, rule: Callable[[int], int] | None, *, elements: Sequence[int] = (), name: str = ""):
         self._rule = rule
         self.name = name
-        self._lock = threading.Lock()
         # index i of these lists holds data for n = i - 1 (so list[0] is n = -1)
         self._a: list[int] = [0, 0]  # placeholders for n = -1, 0 (no elements there)
         self._p: list[int] = [1, 0]
@@ -124,14 +121,11 @@ class CFNumber:
 
     def _ensure(self, n: int) -> None:
         """Materialize elements 1..n (and convergents up to index n)."""
-        if len(self._a) - 2 >= n:
-            return
-        with self._lock:
-            while len(self._a) - 2 < n:
-                k = len(self._a) - 1
-                if self._rule is None:
-                    raise ElementsExhausted(f"element a_{k} requested but only a finite prefix was given")
-                self._append(k, int(self._rule(k)))
+        while len(self._a) - 2 < n:
+            k = len(self._a) - 1
+            if self._rule is None:
+                raise ElementsExhausted(f"element a_{k} requested but only a finite prefix was given")
+            self._append(k, int(self._rule(k)))
 
     def element(self, n: int) -> int:
         if n < 1:

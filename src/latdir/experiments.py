@@ -183,7 +183,7 @@ def biased_ratio(T_list=None, A: DirectionSet | None = None, eps=0, n_max: int =
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    rep = census_mod.build_census(n_max, include_rows=False)
+    rep = census_mod.build_census(n_max)
     thresholds = T_list if T_list is not None else rep.thresholds
     if not thresholds:
         raise EmptyDenominator("no thresholds available")

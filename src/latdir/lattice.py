@@ -356,8 +356,8 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
         Ua[swap, :, k], Ua[swap, :, k + 1] = Ua[swap, :, k + 1], Ua[swap, :, k]
         U[active] = Ua
         active = active[swap]
-    for u in U.tolist():
-        _require_unimodular(u)
+    for u in U:
+        _require_unimodular(u.tolist())
     return U
 
 

@@ -23,8 +23,6 @@ from .lattice import (Lattice, RegionSpec, _classify, enumerate_in_box,
                       enumerate_stacked, g_flow, pad_box, region_volume)
 from .sphere import DirectionSet
 
-ORTHO_TOL = 1e-10
-
 
 class ZeroDenominator(RuntimeError):
     """The denominator estimate vanished (t or M too small for the region)."""

@@ -1,3 +1,5 @@
+import csv
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdir import census as cns
+from latdir import cli
 from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, biased_number
 
 
 @pytest.fixture(scope="module")
 def census5():
-    return cns.build_census(5, include_rows=False)
+    return cns.build_census(5)
 
 
 @pytest.fixture(scope="module")
@@ -54,34 +57,66 @@ def test_window_counts_match_brute_force(census5, brute31, a, b):
     assert census5.window_counts(lo, hi) == (minus, plus)
 
 
+def assert_counted_view(rows):
+    # the view's exact length is what one pass yields, and every pass is the same
+    first = list(rows)
+    assert not isinstance(rows, list) and len(rows) == len(first)
+    assert list(rows) == first
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5, 7, 9])
+def test_rows_view_counts_what_it_yields(n_max):
+    assert_counted_view(cns.build_census(n_max).rows)
+
+
 def test_rows_consistent_with_pieces():
-    rep = cns.build_census(3, include_rows=True)
+    rep = cns.build_census(3)
     by_level = {}
     for row in rep.rows:
-        by_level.setdefault((row["n"], row["r_label"]), []).append(row)
+        assert len(row) == len(cns.ROW_FIELDS)
+        by_level.setdefault(row[:2], []).append(row)
     for level in rep.levels:
         for cls in level.classes:
             in_ms = {m for a, b, _ in cls.pieces for m in range(a, b + 1)}
             rows = by_level.get((level.n, cls.label), [])
-            assert {r["m"] for r in rows if r["in_R"]} == in_ms
-            for r in rows:
-                assert r["q"] == str(level.q_n * r["m"] + cls.r)
+            assert {m for _, _, _, m, _, in_R, _ in rows if in_R} == in_ms
+            for _, _, r, m, q, _, _ in rows:
+                assert (r, q) == (cls.r, level.q_n * m + cls.r)
 
 
-def test_row_serialization_uses_decimal_strings():
-    rep = cns.build_census(7, include_rows=True)
-    big = [r for r in rep.rows if r["n"] == 7]
-    assert big, "level-7 in-R rows should be materialized"
-    assert list(big[-1]) == ["n", "r_label", "r", "m", "q", "in_R", "sign"]
-    assert isinstance(big[-1]["q"], str)
+def test_row_serialization_uses_decimal_strings(tmp_path):
+    # the last level-9 row is the cutoff witness m = L_9 + 1 of remainder 0; its
+    # q is far above 2^53, so only exact big-integer output reproduces it
+    b = biased_number()
+    q = b.convergent(9).q * 100_001
+    assert q > 2**53 and int(float(q)) != q
+    assert cli.main(["run", "biased-census", "--nmax", "9", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "biased-census-rows.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == cns.ROW_FIELDS
+    assert [r for r in rows[1:] if r[0] == "9"][-1] == ["9", "0", "0", "100001", str(q), "False", "-1"]
 
 
 def test_big_levels_emit_cutoff_witness():
-    rep = cns.build_census(5, include_rows=True)
-    lvl5 = [r for r in rep.rows if r["n"] == 5]
+    rep = cns.build_census(5)
+    lvl5 = [(r, m, in_R) for n, _, r, m, _, in_R, _ in rep.rows if n == 5]
     # the first excluded multiplier right after the in-R run is recorded
-    assert any(not r["in_R"] and r["m"] == 217 for r in lvl5)
-    assert sum(1 for r in lvl5 if r["in_R"] and r["r"] == 0) == 216
+    assert (0, 217, False) in lvl5
+    assert sum(1 for r, _, in_R in lvl5 if in_R and r == 0) == 216
+
+
+def test_level9_rows_are_never_held_at_once():
+    # the level-9 census and its exact row count hold no row: a list of its
+    # 105,404 rows as dicts peaks at 38.5 MiB of tracemalloc, the view at
+    # 0.03 MiB (both measured in a fresh interpreter)
+    tracemalloc.start()
+    try:
+        rows = cns.build_census(9).rows
+        assert len(rows) == 105_404
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_big_level_zero_follows_the_row_cap():
@@ -89,13 +124,14 @@ def test_big_level_zero_follows_the_row_cap():
     # 0 keeps only its in-census points and cutoff witnesses, as other levels do
     a1 = 600_000
     cf = CFNumber.from_elements([a1, 4], rule=lambda n: a1 if n == 1 else 4)
-    rep = cns.build_census(3, cf=cf, include_rows=True)
+    rep = cns.build_census(3, cf=cf)
     zero = rep.levels[0].classes[0]
     assert zero.pieces == [(1, 774, 1)]
     assert cns.brute_force_in_R(cf, 1000) == [(q, 1) for q in range(1, 775)]
     want = [(m, True, 1) for m in range(1, 775)] + [(775, False, 1)]
-    assert [(r["m"], r["in_R"], r["sign"]) for r in rep.rows if r["n"] == 0] == want
+    assert [(m, in_R, s) for n, _, _, m, _, in_R, s in rep.rows if n == 0] == want
     assert len(rep.rows) < 1000
+    assert_counted_view(rep.rows)
 
 
 def test_build_census_validation():
@@ -113,8 +149,9 @@ def test_census_generalizes_beyond_the_biased_number(a1, rest):
     elements = [a1, *rest]
     cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)])
     q_hi = min(cf.convergent(6).q, 30_000)
-    rep = cns.build_census(5, cf=cf, include_rows=False)
+    rep = cns.build_census(5, cf=cf)
     assert rep.in_census_qs(q_hi - 1) == cns.brute_force_in_R(cf, q_hi - 1)
+    assert_counted_view(rep.rows)
 
 
 def test_census_rejects_colliding_remainders():
@@ -126,7 +163,7 @@ def test_census_rejects_colliding_remainders():
 
 
 def test_level9_is_cheap_and_matches_bound():
-    rep = cns.build_census(9, include_rows=False)
+    rep = cns.build_census(9)
     assert rep.l_values[9] == 100_000  # isqrt(10^10 + small fraction)
 
 
@@ -176,4 +213,4 @@ def test_hit_outside_the_classes_raises(monkeypatch, hit, match):
     assert (b.convergent(1).q, b.convergent(2).q, b.convergent(3).q) == (4, 17, 72)
     monkeypatch.setattr(cns, "worley_walk", lambda enc, T, C: iter([hit]))
     with pytest.raises(ValueError, match=match):
-        cns.build_census(3, include_rows=False)
+        cns.build_census(3)

@@ -69,8 +69,12 @@ def test_run_biased_census_pinned_digests(tmp_path):
 
 def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(census, "ROW_TOTAL_CAP", 100)
-    rc = cli.main(["run", "biased-census", "--nmax", "3", "--out", str(tmp_path / "census")])
+    out = tmp_path / "census"
+    rc = cli.main(["run", "biased-census", "--nmax", "3", "--out", str(out)])
     assert rc == EXIT_BUDGET
+    # the cap is checked from the exact row count, before any file is written
+    assert not (out / "biased-census-report.json").exists()
+    assert not (out / "biased-census-rows.csv").exists()
 
 
 def test_run_thm3_and_budget_exit(tmp_path):

@@ -97,12 +97,14 @@ def test_biased_count_matches_the_scan_at_1e5(C):
 
 
 def test_biased_count_at_1e9_stays_small():
-    code = ("import resource\n"
-            "from latdir.contfrac import biased_number\n"
+    # the child's own peak RSS, VmHWM: Linux carries ru_maxrss across fork and
+    # exec, so that would read the test runner's RSS at the fork
+    code = ("from latdir.contfrac import biased_number\n"
             "from latdir.lattice import count_approximates\n"
             "from latdir.sphere import parse_direction_set\n"
             "res = count_approximates(biased_number(), 1e9, A=parse_direction_set('sign:-1', 1))\n"
-            "print(res.total, res.in_A, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(res.total, res.in_A, hwm.split()[1])\n")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=120, check=True)
     total, in_A, rss_kb = map(int, out.stdout.split())
