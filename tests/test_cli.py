@@ -67,6 +67,29 @@ def test_run_biased_census_pinned_digests(tmp_path):
     assert got == PINNED_CENSUS_7
 
 
+# sha256 of README's two `run thm1` commands: the report with `timestamp` and
+# `config.out` dropped, and the trace CSV as written
+PINNED_THM1 = {
+    ("--d", "1", "--T", "100000", "--A", "sign:-1", "--n", "200", "--seed", "7"): (
+        "789bb4f909f7616ee2b90baf2062d05ce33cc2cee6c045c0d99bf2097412cb66",
+        "b9885eb379f3face9c1ea76e9644938ab1bf9aeaa755ea7b836f490b39b64077"),
+    ("--d", "2", "--T", "10000", "--A", "hemisphere:1,0", "--n", "50", "--seed", "7"): (
+        "7c75e68d13c54ff3170239e5808af60a92dcca83fae83c86d53bba3c6ed03b0b",
+        "29c39468bf37b5bf8e04245cff5853ba2842c2d9e9aad2fec1332274bc31d173"),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_THM1))
+def test_run_thm1_pinned_digests(tmp_path, args):
+    out = tmp_path / "thm1"
+    assert cli.main(["run", "thm1", *args, "--out", str(out)]) == EXIT_OK
+    report = _strip_timestamp(out / "thm1-report.json")
+    report["config"].pop("out")
+    got = (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
+           hashlib.sha256((out / "thm1-trace.csv").read_bytes()).hexdigest())
+    assert got == PINNED_THM1[args]
+
+
 def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(census, "ROW_TOTAL_CAP", 100)
     out = tmp_path / "census"
