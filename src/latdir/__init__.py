@@ -8,8 +8,8 @@ from .contfrac import (CFNumber, Convergent, RationalInterval, RotationScan,
                        biased_elements, biased_number, cf_product, constant_cf,
                        error_ratio_bounds, rotation_value)
 from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
-                      count_region, enumerate_in_box, g_flow, lattice_from_x,
-                      region_volume, shell_count)
+                      count_approximates_many, count_region, enumerate_in_box,
+                      g_flow, lattice_from_x, region_volume, shell_count)
 from .siegel import (BoxIndicator, MCEstimate, RadialIndicator, RegionIndicator,
                      haar_rotation, siegel_transform, spherical_average,
                      thm3_ratio)

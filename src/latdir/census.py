@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contfrac import CFNumber, Enclosure, RotationScan, biased_number, worley_walk
+from .contfrac import CFNumber, Enclosure, biased_number, worley_walk
 
 
 @dataclass
@@ -238,9 +238,28 @@ class CensusRows:
 
 def brute_force_in_R(cf: CFNumber, q_max: int) -> list[tuple[int, int]]:
     """Independent oracle: every (q, sign) with |q.x| * q <= 1, q = 1..q_max,
-    by direct exact scan (no remainder-class shortcut)."""
-    scan = RotationScan(cf, q_max)
-    return [(q, scan.sign(q)) for q in range(1, q_max + 1) if scan.in_thinning(q)]
+    by direct exact scan (no remainder-class shortcut).
+
+    One pass decides every q from `Enclosure.rotation` on one enclosure and
+    keeps only the hits; a q the interval cannot decide widens it, and the
+    scan restarts on the tighter interval."""
+    enc = Enclosure(cf, 16)
+
+    def scan(iv):
+        hits = []
+        for q in range(1, q_max + 1):
+            rec = enc.rotation(q)
+            if rec is None:
+                return None
+            sign, nlo, nhi = rec
+            # |q.x| D lies strictly inside (nlo, nhi); equality q |q.x| = 1 is impossible
+            if q * nhi <= enc.D:
+                hits.append((q, sign))
+            elif q * nlo < enc.D:
+                return None
+        return hits
+
+    return enc.decide(scan)
 
 
 def candidate_classes_ok(cf: CFNumber, q: int) -> bool:

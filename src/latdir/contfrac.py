@@ -410,13 +410,13 @@ class RotationScan:
     """Exact circle-rotation data q.x for every q = 1..q_max at once.
 
     A brute-force oracle, not a counter: it holds one record per q, so its
-    memory grows with q_max.  It serves the census oracle `brute_force_in_R`,
-    acceptance criteria 3-4 and the tests of the exact approximate counts
-    and of the census, which both take their approximates level by level
-    from `worley_walk` instead.  The records are
-    `Enclosure.rotation` on one shared enclosure; a query the current
-    enclosure cannot decide widens it, and the records are rebuilt on the
-    tighter interval.
+    memory grows with q_max.  It serves acceptance criteria 3-4 and the
+    tests of the exact approximate counts and of the census, which both take
+    their approximates level by level from `worley_walk` instead (the census
+    oracle `census.brute_force_in_R` scans without keeping records).  The
+    records are `Enclosure.rotation` on one shared enclosure; a query the
+    current enclosure cannot decide widens it, and the records are rebuilt
+    on the tighter interval.
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import census as census_mod
 from . import lattice as lm
-from .lattice import DegenerateRational, RegionSpec, lattice_from_x
+from .lattice import RegionSpec, lattice_from_x
 from .sphere import DirectionSet, SignSet
 
 
@@ -60,8 +60,10 @@ def direction_frequency_experiment(d: int, num_points: int, T: float, A: Directi
                                    seed: int = 0) -> ExperimentReport:
     """Sample uniform x in (0,1)^d and record N(x,T,A)/N(x,T) per sample.
 
-    Rational collisions (measure zero, but RNG outputs are rationals) are
-    skipped and reported, not silently dropped.
+    All targets are counted in one batched call (`count_approximates_many`).
+    Rational collisions (measure zero, but RNG outputs are rationals: a hit
+    with q x - p = 0) and targets without an approximate are skipped and
+    reported, not silently dropped.
     """
     if T < 10 or num_points < 1:
         raise ValueError("need T >= 10 and at least one sample")
@@ -72,15 +74,8 @@ def direction_frequency_experiment(d: int, num_points: int, T: float, A: Directi
                  "norm": norm, "C": C}, seed=seed)
     ratios = []
     skipped = 0
-    for x in xs:
-        xv = x if d > 1 else float(x[0])
-        try:
-            res = lm.count_approximates(xv, T, norm=norm, C=C, A=A)
-        except DegenerateRational:
-            skipped += 1
-            report.records.append({"x": list(x), "skipped": True})
-            continue
-        if res.total == 0:
+    for x, res in zip(xs, lm.count_approximates_many(xs, T, norm=norm, C=C, A=A)):
+        if res.degenerate or res.total == 0:  # a rational collision, or no approximate
             skipped += 1
             report.records.append({"x": list(x), "skipped": True})
             continue

@@ -547,48 +547,55 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
 SHELL_RATIO = 16  # q-shells e <= q < 16 e; ratio 2 costs more calls, 64 a bigger box
 
 
-def _horo_candidates(x: np.ndarray, q_lo: int, q_hi: int, C: float,
-                     budget: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Integer (q, p) with q_lo <= q <= q_hi and |q x - p|_inf <= C q^{-1/d},
-    sorted by (q, p); a few points just beyond the radius may come along.
+def _horo_candidates(xs: np.ndarray, q_lo: int, q_hi: int, C: float, budget: int | None = None
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks (target, q, p) of the integer (q, p) with q_lo <= q <= q_hi and
+    |q x - p|_inf <= C q^{-1/d}, for every row x of the (N, d) stack `xs`; a
+    few points just beyond the radius may come along.  Rows are sorted by
+    (target, q, p) within each block, and the blocks follow one another in
+    that order.
 
     Dani's correspondence: the geometric shell e <= q < 16 e of h_x Z^{d+1},
     flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the fixed box
-    |v_1| <= C, 1 <= v_2 < 16, so each shell is one box of one
-    `enumerate_stacked` call and the work is O(log T) boxes.  The box is
-    widened by the rounding error of the flowed float coordinates and of the
-    callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin, so
-    no point a float predicate on q x - p accepts is dropped by the box
+    |v_1| <= C, 1 <= v_2 < 16, so the N S flowed shells of all targets are the
+    boxes of one `enumerate_stacked` call, O(log T) boxes a target.  Each box
+    is widened by the rounding error of its flowed float coordinates and of
+    the callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin,
+    so no point a float predicate on q x - p accepts is dropped by the box
     filter.  The q-window is cut on the exact integer q.
     """
-    d = x.shape[0]
-    qs, ps = [np.zeros(0, dtype=np.int64)], [np.zeros((0, d), dtype=np.int64)]
-    bases, box_lo, box_hi, windows = [], [], [], []
+    N, d = xs.shape
+    es = []
     e = q_lo
     while e <= q_hi:
-        top = min(e * SHELL_RATIO - 1, q_hi)
-        a = e ** (1.0 / d)
-        B = np.diag([a] * d + [1.0 / e])
-        B[:d, d] = a * x
-        n_abs = np.append(np.abs(x) * top + C + 1.0, top)
-        margin = 4 * (d + 1) * np.finfo(float).eps * (np.abs(B) @ n_abs + C)
-        r = C + margin[:d]
-        bases.append(B)
-        box_lo.append(np.append(-r, (e - 0.5) / e))
-        box_hi.append(np.append(r, (top + 0.5) / e))
-        windows.append((e, top))
+        es.append(e)
         e *= SHELL_RATIO
-    if bases:
-        window = np.array(windows, dtype=np.int64)
-        # one stack for all shells; blocks come in shell order, so in q order
-        for which, _, ns in enumerate_stacked(np.stack(bases), np.stack(box_lo), np.stack(box_hi),
-                                              budget=budget):
-            keep = (ns[:, d] >= window[which, 0]) & (ns[:, d] <= window[which, 1])
-            qp = np.column_stack([ns[keep, d], -ns[keep, :d]])
-            qp = qp[np.lexsort(qp.T[::-1])]
-            qs.append(qp[:, 0])
-            ps.append(qp[:, 1:])
-    return np.concatenate(qs), np.concatenate(ps)
+    if not es:
+        return
+    S = len(es)
+    tops = [min(e * SHELL_RATIO - 1, q_hi) for e in es]
+    a = np.array([e ** (1.0 / d) for e in es])
+    top = np.array(tops, dtype=float)
+    # the (N, S) stack of flowed bases, target-major: basis k is target k // S, shell k % S
+    B = np.zeros((N, S, d + 1, d + 1))
+    B[:, :, range(d), range(d)] = a[:, None]
+    B[:, :, d, d] = [1.0 / e for e in es]
+    B[:, :, :d, d] = a[:, None] * xs[:, None, :]
+    n_abs = np.concatenate([np.abs(xs)[:, None, :] * top[:, None] + C + 1.0,
+                            np.broadcast_to(top[:, None], (N, S, 1))], axis=2)
+    margin = 4 * (d + 1) * np.finfo(float).eps * (np.einsum("nsij,nsj->nsi", np.abs(B), n_abs) + C)
+    r = C + margin[..., :d]
+    v2_lo = np.broadcast_to([(e - 0.5) / e for e in es], (N, S))
+    v2_hi = np.broadcast_to([(t + 0.5) / e for e, t in zip(es, tops)], (N, S))
+    box_lo = np.concatenate([-r, v2_lo[..., None]], axis=2).reshape(N * S, d + 1)
+    box_hi = np.concatenate([r, v2_hi[..., None]], axis=2).reshape(N * S, d + 1)
+    window = np.array([es, tops], dtype=np.int64)
+    for which, _, ns in enumerate_stacked(B.reshape(N * S, d + 1, d + 1), box_lo, box_hi, budget=budget):
+        t, s = np.divmod(which, S)
+        keep = (ns[:, d] >= window[0, s]) & (ns[:, d] <= window[1, s])
+        t, q, p = t[keep], ns[keep, d], -ns[keep, :d]
+        order = np.lexsort((*p.T[::-1], q, t))
+        yield t[order], q[order], p[order]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +645,9 @@ def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
         x = np.asarray(lat.x, dtype=float)
         lo, hi, lo_strict = spec.v2_window()
         q_lo = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
-        q, p = _horo_candidates(x, q_lo, math.floor(hi), spec.c ** (1.0 / spec.d), budget)
+        blocks = list(_horo_candidates(x[None], q_lo, math.floor(hi), spec.c ** (1.0 / spec.d), budget))
+        q = np.concatenate([np.zeros(0, dtype=np.int64), *(b[1] for b in blocks)])
+        p = np.concatenate([np.zeros((0, spec.d), dtype=np.int64), *(b[2] for b in blocks)])
         pts = np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)])
         ns = np.column_stack([-p, q])
     else:
@@ -666,11 +675,10 @@ def count_approximates(x, T: float, norm: str = "sup", C: float | None = None,
     For a CFNumber input (d = 1) every check is exact, and the count walks
     the convergents q_m <= T, deciding O(C log C) candidate denominators a
     level and emitting their multiples in closed form: O(log T) levels and
-    memory of the size of the output, not of T.  Float inputs take
-    their candidates from the flowed shells of h_x Z^{d+1}, O(log T) box
-    enumerations, and test the binary-float q x - p against C q^{-1/d}, so T
-    is limited by float resolution, not memory: at d = 1 ulp(q x) reaches C/q
-    near T = 1e8.  The inequality is strict, unlike regions.
+    memory of the size of the output, not of T.  A float input is the
+    one-target call of `count_approximates_many`, and raises
+    DegenerateRational when a hit has q x - p = 0 and a direction set is
+    attached.  The inequality is strict, unlike regions.
     """
     if C is None:
         C = 1.0
@@ -683,7 +691,35 @@ def count_approximates(x, T: float, norm: str = "sup", C: float | None = None,
         raise ValueError("direction set dimension mismatch")
     if exact:
         return _count_approx_exact(x, int(math.floor(T)), Fraction(C), A, want_witnesses)
-    return _count_approx_float(x, int(math.floor(T)), float(C), A, norm, want_witnesses)
+    (res,), first_degenerate = _count_approx_float(x[None], int(math.floor(T)), float(C), A, norm,
+                                                   want_witnesses)
+    if A is not None and res.degenerate:
+        raise DegenerateRational(f"q x - p = 0 at q = {first_degenerate[0]} with a direction set attached")
+    return res
+
+
+def count_approximates_many(xs, T: float, norm: str = "sup", C: float | None = None,
+                            A: DirectionSet | None = None, *, want_witnesses: bool = False
+                            ) -> list[CountResult]:
+    """`count_approximates` for every row x of the (N, d) float stack `xs`,
+    from one stacked enumeration of all targets' flowed shells.
+
+    Float targets take their candidates from the flowed shells of
+    h_x Z^{d+1}, O(log T) boxes a target (`_horo_candidates`), and test the
+    binary-float q x - p against C q^{-1/d}, so T is limited by float
+    resolution, not memory: at d = 1 ulp(q x) reaches C/q near T = 1e8.  A
+    target with a hit q x - p = 0 is not an error here: its `degenerate`
+    counts those hits, which never count in `in_A`.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or not xs.size:
+        raise ValueError("targets must be a nonempty (N, d) stack")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if A is not None and A.dim != xs.shape[1]:
+        raise ValueError("direction set dimension mismatch")
+    return _count_approx_float(xs, int(math.floor(T)), 1.0 if C is None else float(C), A, norm,
+                               want_witnesses)[0]
 
 
 def _count_approx_exact(cf: CFNumber, T: int, C: Fraction, A, want_witnesses) -> CountResult:
@@ -738,21 +774,29 @@ def _extra_p_signs(enc: Enclosure, q: int, C: Fraction) -> list[int]:
     return enc.decide(decide)
 
 
-def _count_approx_float(x: np.ndarray, T: int, C: float, A, norm: str, want_witnesses) -> CountResult:
-    d = x.shape[0]
-    q, p = _horo_candidates(x, 1, T, C)
-    v1 = q[:, None] * x[None, :] - p
-    nrm = _v1_norms(v1, norm)
-    hit = nrm < C * q.astype(float) ** (-1.0 / d)
-    q, v1, nrm = q[hit], v1[hit], nrm[hit]
-    deg = nrm == 0.0
-    if np.any(deg) and A is not None:
-        raise DegenerateRational(f"q x - p = 0 at q = {q[deg][0]} with a direction set attached")
-    in_A = None
-    if A is not None:
-        in_A = int(np.count_nonzero(A.contains_many(v1 / nrm[:, None]))) if len(q) else 0
-    wits = None
-    if want_witnesses:
-        wits = [(int(qq), tuple(vv.tolist()), tuple((vv / nn).tolist()) if nn else None)
-                for qq, vv, nn in zip(q, v1, nrm)]
-    return CountResult(len(q), in_A, int(np.count_nonzero(deg)), wits)
+def _count_approx_float(xs: np.ndarray, T: int, C: float, A, norm: str, want_witnesses
+                        ) -> tuple[list[CountResult], np.ndarray]:
+    """The float count of every target, and each target's smallest q with
+    q x - p = 0 among its hits (T + 1 if none), summed block by block."""
+    N, d = xs.shape
+    total, degenerate, in_A = (np.zeros(N, dtype=np.int64) for _ in range(3))
+    first_degenerate = np.full(N, T + 1, dtype=np.int64)
+    wits = [[] for _ in range(N)] if want_witnesses else None
+    for t, q, p in _horo_candidates(xs, 1, T, C):
+        v1 = q[:, None] * xs[t] - p
+        nrm = _v1_norms(v1, norm)
+        hit = nrm < C * q.astype(float) ** (-1.0 / d)
+        t, q, v1, nrm = t[hit], q[hit], v1[hit], nrm[hit]
+        deg = nrm == 0.0
+        total += np.bincount(t, minlength=N)
+        degenerate += np.bincount(t[deg], minlength=N)
+        np.minimum.at(first_degenerate, t[deg], q[deg])
+        if A is not None and not np.all(deg):
+            live = ~deg
+            in_A += np.bincount(t[live][A.contains_many(v1[live] / nrm[live, None])], minlength=N)
+        if want_witnesses:
+            for tt, qq, vv, nn in zip(t.tolist(), q, v1, nrm):
+                wits[tt].append((int(qq), tuple(vv.tolist()), tuple((vv / nn).tolist()) if nn else None))
+    results = [CountResult(int(total[i]), None if A is None else int(in_A[i]), int(degenerate[i]),
+                           wits[i] if want_witnesses else None) for i in range(N)]
+    return results, first_degenerate

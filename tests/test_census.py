@@ -1,4 +1,5 @@
 import csv
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from latdir import census as cns
 from latdir import cli
-from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, biased_number
+from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, RotationScan, biased_number
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,40 @@ def test_thresholds_sit_on_top_of_zero_class(census5):
 def test_census_agrees_with_brute_force(census5, brute31):
     b = biased_number()
     assert census5.in_census_qs(b.convergent(5).q - 1) == brute31
+
+
+def _scan_in_R(cf, q_max):
+    """The census oracle on a `RotationScan`, which keeps one record per q."""
+    scan = RotationScan(cf, q_max)
+    return [(q, scan.sign(q)) for q in range(1, q_max + 1) if scan.in_thinning(q)]
+
+
+def test_brute_force_oracle_matches_a_rotation_scan(brute31):
+    b = biased_number()
+    assert brute31 == _scan_in_R(b, b.convergent(5).q - 1)
+    rng = random.Random(14)
+    for _ in range(3):
+        cf = CFNumber.from_elements([rng.randint(1, 9) for _ in range(256)])
+        assert cns.brute_force_in_R(cf, 20_000) == _scan_in_R(cf, 20_000)
+
+
+# A RotationScan-based oracle peaked at 19.6 MB under tracemalloc at the biased
+# q_5 - 1 = 73,867: one record per q.  The bound was fixed from that before the
+# streaming scan was measured.
+ORACLE_PEAK_BYTES = 2_000_000
+
+
+def test_brute_force_oracle_memory_does_not_grow_with_q():
+    b = biased_number()
+    q_max = b.convergent(5).q - 1
+    tracemalloc.start()
+    try:
+        hits = cns.brute_force_in_R(b, q_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 31
+    assert peak < ORACLE_PEAK_BYTES
 
 
 def test_completeness_no_point_outside_classes(brute31):

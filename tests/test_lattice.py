@@ -11,7 +11,8 @@ from latdir import lattice as lm
 from latdir.contfrac import biased_number, constant_cf
 from latdir.lattice import (CandidateBudgetExceeded, DegenerateRational,
                             Lattice, RegionSpec, UnboundedRegion,
-                            count_approximates, count_region, enumerate_in_box,
+                            count_approximates, count_approximates_many,
+                            count_region, enumerate_in_box,
                             g_flow, lattice_from_x, region_volume,
                             shell_count)
 from latdir.siegel import haar_rotation
@@ -536,7 +537,7 @@ def test_approximates_vs_region_count_differ_by_q1():
 
 
 def test_degenerate_rational_direction_raises():
-    with pytest.raises(DegenerateRational):
+    with pytest.raises(DegenerateRational, match="at q = 2 with"):
         count_approximates(0.5, 10, A=MINUS)
     res = count_approximates(0.5, 10)
     assert res.degenerate > 0
@@ -578,3 +579,81 @@ def test_count_result_json():
     res = count_region(Z2, RegionSpec("P", 1, T=10, c=1, norm="sup", A=MINUS))
     obj = res.to_obj()
     assert obj == {"total": 9, "in_A": 0, "degenerate": 9}
+
+
+# ---------------------------------------------------------------------------
+# the batched float counter against one call a target
+
+BATCH_SETS = {1: MINUS, 2: Hemisphere((1.0, 0.0)), 3: Cap((0.0, 0.6, 0.8), 1.0)}
+
+
+@pytest.mark.parametrize("d, T", [(1, 10**5), (2, 10**4), (3, 2000)])
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("C", [1.0, 2.5])
+@pytest.mark.parametrize("with_A", [False, True])
+def test_batched_counts_equal_single_calls(d, T, norm, C, with_A):
+    A = BATCH_SETS[d] if with_A else None
+    xs = np.random.default_rng(100 * d + 7).random((12, d))
+    got = count_approximates_many(xs, T, norm=norm, C=C, A=A, want_witnesses=True)
+    want = [count_approximates(x, T, norm=norm, C=C, A=A, want_witnesses=True) for x in xs]
+    assert [r.to_obj() for r in got] == [r.to_obj() for r in want]
+    # witnesses are only built on request
+    assert [r.witnesses for r in count_approximates_many(xs, T, norm=norm, C=C, A=A)] == [None] * 12
+
+
+@pytest.mark.parametrize("rational", [(0.5,), (0.5, 0.25)])
+def test_batched_rational_target_is_flagged_and_its_neighbours_counted(rational):
+    d = len(rational)
+    A = BATCH_SETS[d]
+    xs = np.random.default_rng(3).random((5, d))
+    xs[2] = rational
+    got = count_approximates_many(xs, 1000, A=A)
+    assert got[2].degenerate > 0
+    with pytest.raises(DegenerateRational):
+        count_approximates(xs[2], 1000, A=A)
+    for i in (0, 1, 3, 4):
+        assert got[i].to_obj() == count_approximates(xs[i], 1000, A=A).to_obj()
+        assert got[i].degenerate == 0
+
+
+def test_thm1_skips_a_rational_target(monkeypatch):
+    from latdir.experiments import direction_frequency_experiment
+
+    xs = np.random.default_rng(3).random((4, 1))
+    xs[1] = 0.5
+
+    class FixedTargets:
+        def __init__(self, seed):
+            pass
+
+        def random(self, shape):
+            assert shape == xs.shape
+            return xs.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", FixedTargets)
+    rep = direction_frequency_experiment(1, 4, 1000, MINUS)
+    assert rep.records[1] == {"x": [0.5], "skipped": True}
+    assert all("ratio" in rec for i, rec in enumerate(rep.records) if i != 1)
+    assert (rep.summary["used"], rep.summary["skipped"]) == (3, 1)
+
+
+def test_batched_budget_is_checked_before_any_candidate(monkeypatch):
+    # x = 0 has a short vector in every shell, so its boxes are far larger
+    # than those of its irrational neighbours
+    xs = np.array([[0.3137515], [0.0], [0.7390812]])
+    monkeypatch.setenv("LATDIR_BUDGET", "1000")
+    assert len(count_approximates_many(xs[[0, 2]], 10**5)) == 2
+
+    def expanded(*args):
+        raise AssertionError("a candidate was expanded")
+
+    monkeypatch.setattr(lm, "_points", expanded)
+    with pytest.raises(CandidateBudgetExceeded):
+        count_approximates_many(xs, 10**5)
+
+
+def test_batched_counter_rejects_a_direction_set_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        count_approximates_many(np.full((3, 2), 0.3137515), 100, A=MINUS)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        count_approximates_many(np.full((3, 1), 0.3137515), 100, A=Hemisphere((1.0, 0.0)))
