@@ -20,7 +20,8 @@ of all their boxes in fixed-size chunks, so the Monte Carlo driver
 lattices h_x Z^{d+1} (float Dirichlet approximates and shell counts) go
 through the same enumerator: the q-window is cut into geometric shells, and
 each shell, flowed by g_s, fills one fixed box (Dani's correspondence), so a
-count up to T is one stack of O(log T) boxes.
+count up to T is one stack of O(log T) boxes, and the float counts of many
+targets are one stack of all their shells.
 Exact approximate counts of a continued-fraction target (d = 1) need no
 lattice: they walk the O(log T) convergent levels q_m <= T and decide a
 bounded set of candidate denominators at each (`contfrac.worley_walk`).
@@ -791,7 +792,7 @@ def _count_approx_float(xs: np.ndarray, T: int, C: float, A, norm: str, want_wit
         total += np.bincount(t, minlength=N)
         degenerate += np.bincount(t[deg], minlength=N)
         np.minimum.at(first_degenerate, t[deg], q[deg])
-        if A is not None and not np.all(deg):
+        if A is not None:
             live = ~deg
             in_A += np.bincount(t[live][A.contains_many(v1[live] / nrm[live, None])], minlength=N)
         if want_witnesses:
