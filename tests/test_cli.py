@@ -57,14 +57,26 @@ PINNED_CENSUS_7 = ("c72b4f09cd9ca28124cf0c8835ba296d1aebc8893041e4a5b6f8903315ff
                    "0848a4c8b3d50235da95f08b6f35834d27656447afe24c6a0e3606e62c81e0b4")
 
 
-def test_run_biased_census_pinned_digests(tmp_path):
-    out = tmp_path / "census"
-    assert cli.main(["run", "biased-census", "--nmax", "7", "--out", str(out)]) == EXIT_OK
+# the same for `run biased-census --nmax 9`: 105,404 rows, most of them in the
+# big levels' runs of in-census multipliers
+PINNED_CENSUS_9 = ("b82e20d729bf48f4ebf5dd3991747ea8afe4e47c34122a7d7691ad8fc5e9fa77",
+                   "af177e877373c2d61cd06f8dcf902ddf93daaff1105dcd62b9fb811750b35c45")
+
+
+def _census_digests(out: Path, nmax: str) -> tuple[str, str]:
+    assert cli.main(["run", "biased-census", "--nmax", nmax, "--out", str(out)]) == EXIT_OK
     report = _strip_timestamp(out / "biased-census-report.json")
     report["config"].pop("out")
-    got = (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
-           hashlib.sha256((out / "biased-census-rows.csv").read_bytes()).hexdigest())
-    assert got == PINNED_CENSUS_7
+    return (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
+            hashlib.sha256((out / "biased-census-rows.csv").read_bytes()).hexdigest())
+
+
+def test_run_biased_census_pinned_digests(tmp_path):
+    assert _census_digests(tmp_path / "census", "7") == PINNED_CENSUS_7
+
+
+def test_run_biased_census_nmax9_pinned_digests(tmp_path):
+    assert _census_digests(tmp_path / "census", "9") == PINNED_CENSUS_9
 
 
 # sha256 of README's two `run thm1` commands: the report with `timestamp` and
