@@ -16,7 +16,8 @@ remainder mod q_n, and one that falls in none of the four classes raises
 rather than being dropped.
 
 The CSV rows are `CensusRows`, a view whose exact length comes from the pieces,
-so `ROW_TOTAL_CAP` is checked before any row exists; rows are streamed.
+so `ROW_TOTAL_CAP` is checked before any row exists; the CSV text is streamed
+a slice of one run at a time.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ class CensusReport:
 ROW_FULL_CAP = 512      # emit every candidate row when a_{n+1} is this small
 ROW_TOTAL_CAP = 500_000
 ROW_FIELDS = ("n", "r_label", "r", "m", "q", "in_R", "sign")
+ROW_SLICE = 4096        # rows formatted into one chunk of CSV text
 
 
 class RowCapExceeded(RuntimeError):
@@ -235,20 +237,37 @@ class CensusRows:
                 yield (level.n, cls.label, cls.r, m, level.q_n * m + cls.r, in_R,
                        s or _row_sign(self.enc, level, cls, m))
 
+    def csv_text(self):
+        """The CSV file as `csv.writer` writes the header and these rows, in
+        chunks of at most ROW_SLICE rows.  Within a run only m and q change,
+        so each row is one f-string; `_row_sign` runs only where the run's
+        sign is 0."""
+        yield ",".join(ROW_FIELDS) + "\r\n"
+        for level, cls, a, b, in_R, s in self._runs():
+            head, qn, r = f"{level.n},{cls.label},{cls.r},", level.q_n, cls.r
+            tail = f",{in_R},{s}\r\n"
+            for lo in range(a, b + 1, ROW_SLICE):
+                ms = range(lo, min(lo + ROW_SLICE, b + 1))
+                if s:
+                    yield "".join([f"{head}{m},{qn * m + r}{tail}" for m in ms])
+                else:
+                    yield "".join([f"{head}{m},{qn * m + r},{in_R},{_row_sign(self.enc, level, cls, m)}\r\n"
+                                   for m in ms])
+
 
 def brute_force_in_R(cf: CFNumber, q_max: int) -> list[tuple[int, int]]:
     """Independent oracle: every (q, sign) with |q.x| * q <= 1, q = 1..q_max,
     by direct exact scan (no remainder-class shortcut).
 
-    One pass decides every q from `Enclosure.rotation` on one enclosure and
-    keeps only the hits; a q the interval cannot decide widens it, and the
-    scan restarts on the tighter interval."""
+    One pass walks q = 1..q_max on one enclosure with `Enclosure.rotations`,
+    which steps q.x by one addition per q, decides each q in turn and keeps
+    only the hits; a q the interval cannot decide widens it, and the scan
+    restarts from q = 1 on the tighter interval."""
     enc = Enclosure(cf, 16)
 
     def scan(iv):
         hits = []
-        for q in range(1, q_max + 1):
-            rec = enc.rotation(q)
+        for q, rec in enumerate(enc.rotations(q_max), 1):
             if rec is None:
                 return None
             sign, nlo, nhi = rec

@@ -29,7 +29,7 @@ from . import acceptance as acc
 from . import experiments as ex
 from . import lattice as lm
 from . import siegel as sg
-from .census import ROW_FIELDS, RowCapExceeded
+from .census import RowCapExceeded
 from .sphere import parse_direction_set
 
 EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_ACCEPTANCE = 0, 2, 3, 4
@@ -82,7 +82,9 @@ class RunConfig:
             raise ValueError("thm3 needs eps > 0 (eps = 0 makes the region unbounded)")
 
 
-def _write_report(cfg: RunConfig, report_obj: dict, fields, rows, trace_name: str):
+def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str):
+    """Write the report and, unless `csv_text` yields nothing, the CSV trace
+    from its text chunks, one chunk at a time."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report_obj = dict(report_obj)
@@ -90,18 +92,35 @@ def _write_report(cfg: RunConfig, report_obj: dict, fields, rows, trace_name: st
     report_obj["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = out / f"{cfg.experiment}-report.json"
     path.write_text(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-    if fields:
+    chunks = iter(csv_text)
+    first = next(chunks, "")
+    if first:
         with open(out / f"{trace_name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            writer.writerows(rows)
+            fh.write(first)
+            fh.writelines(chunks)
     return path
 
 
+class _Echo:
+    """A file whose `write` hands the text back, so `csv.writer` returns each line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_lines(fields, rows):
+    """The CSV text of a header and its rows, a line at a time; nothing without a header."""
+    if fields:
+        writer = csv.writer(_Echo())
+        yield writer.writerow(fields)
+        for row in rows:
+            yield writer.writerow(row)
+
+
 def _table(records: list[dict]):
-    """Header (every key, in order of first use) and rows ("" for a missing key)."""
+    """CSV lines of a header (every key, in order of first use) and rows ("" for a missing key)."""
     fields = list(dict.fromkeys(k for rec in records for k in rec))
-    return fields, ([rec.get(k, "") for k in fields] for rec in records)
+    return _csv_lines(fields, ([rec.get(k, "") for k in fields] for rec in records))
 
 
 def _direction_set(cfg: RunConfig):
@@ -115,13 +134,13 @@ def run(cfg: RunConfig) -> int:
     if cfg.experiment == "thm1":
         rep = ex.direction_frequency_experiment(cfg.d, cfg.n, cfg.T, _direction_set(cfg),
                                                 norm=cfg.norm, C=C, seed=cfg.seed)
-        _write_report(cfg, rep.to_obj(), *_table(rep.records), "thm1-trace")
+        _write_report(cfg, rep.to_obj(), _table(rep.records), "thm1-trace")
     elif cfg.experiment == "birkhoff":
         x = cfg.x if cfg.x >= 0 else float(np.random.default_rng(cfg.seed).random())
         rep = ex.shell_average_experiment(x, cfg.N, c=cfg.c, A=parse_direction_set(cfg.A, 1),
                                           norm=cfg.norm)
         rep.seed = cfg.seed
-        _write_report(cfg, rep.to_obj(), *_table(rep.records), "birkhoff-trace")
+        _write_report(cfg, rep.to_obj(), _table(rep.records), "birkhoff-trace")
     elif cfg.experiment == "thm3":
         lat = lm.Lattice(np.eye(cfg.d + 1))
         r = sg.thm3_ratio(lat, _direction_set(cfg), eps=float(Fraction(cfg.eps)), t=cfg.t,
@@ -129,23 +148,23 @@ def run(cfg: RunConfig) -> int:
                           keep_trace=True)
         rows = [(i, a, b) for i, (a, b) in enumerate(zip(r.numerator.values, r.denominator.values))]
         obj = {"experiment": "thm3", "result": r.to_obj(), "seed": cfg.seed}
-        _write_report(cfg, obj, ("i", "in_A", "total"), rows, "thm3-trace")
+        _write_report(cfg, obj, _csv_lines(("i", "in_A", "total"), rows), "thm3-trace")
         print(f"ratio = {r.ratio:.4f} +- {r.stderr:.4f} (vol(A) = {r.vol_reference})")
     elif cfg.experiment == "biased-census":
         rep, census = ex.biased_census(cfg.nmax)
-        _write_report(cfg, rep.to_obj(), ROW_FIELDS, census.rows, "biased-census-rows")
+        _write_report(cfg, rep.to_obj(), census.rows.csv_text(), "biased-census-rows")
         print("L_n:", rep.summary["L"], "thresholds:", rep.summary["thresholds"])
     elif cfg.experiment == "biased-ratio":
         A = parse_direction_set(cfg.A or "sign:-1", 1)
         rep = ex.biased_ratio(A=A, eps=Fraction(cfg.eps), n_max=cfg.nmax)
-        _write_report(cfg, rep.to_obj(), *_table(rep.records), "biased-ratio-trace")
+        _write_report(cfg, rep.to_obj(), _table(rep.records), "biased-ratio-trace")
         print("final ratio:", rep.summary["final_ratio"])
     elif cfg.experiment == "nonminimal":
         from .contfrac import biased_number
         alpha = cfg.x if cfg.x >= 0 else float(biased_number())
         rep = ex.nonminimal_experiment(cfg.d, alpha, cfg.T, C=C, norm="euclidean",
                                        probe_cap=parse_direction_set(cfg.A, cfg.d))
-        _write_report(cfg, rep.to_obj(), *_table(rep.records), "nonminimal-trace")
+        _write_report(cfg, rep.to_obj(), _table(rep.records), "nonminimal-trace")
         print("max diagonal residual:", rep.summary["max_diagonal_residual"])
     return EXIT_OK
 

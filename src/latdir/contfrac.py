@@ -223,7 +223,7 @@ class Enclosure:
     current interval and doubles the depth (clamped to `max_terms`) until `fn`
     returns something other than None.  The depth only grows, so an instance
     shared by many queries builds each interval once.  The interval is also
-    kept in integers, x in (L/D, (L+1)/D), for `rotation`.
+    kept in integers, x in (L/D, (L+1)/D), for `rotation` and `rotations`.
     """
 
     def __init__(self, cf: CFNumber, terms: int, max_terms: int = PREFIX_CAP):
@@ -267,6 +267,31 @@ class Enclosure:
         if nhi <= 0:
             return (-1, -nhi, -nlo)
         return None
+
+    def rotations(self, q_max: int):
+        """Yield `rotation(q)` for q = 1..q_max, None entries included, on the
+        interval current when the scan starts.
+
+        It keeps rem = qL - rD in [-D/2, D/2), r the nearest integer to qL/D,
+        so each q costs one addition of L and at most one subtraction of D,
+        where `rotation` divides two big integers.  The nearest integer is
+        undecided when 2 (rem + q) >= D, the sign when rem < 0 < rem + q."""
+        L, D = self.L, self.D
+        half = (D + 1) // 2  # 2 v >= D  <=>  v >= half
+        rem = 0
+        for q in range(1, q_max + 1):
+            rem += L
+            if rem >= half:
+                rem -= D
+            nhi = rem + q
+            if nhi >= half:
+                yield None
+            elif rem >= 0:
+                yield (1, rem, nhi)
+            elif nhi <= 0:
+                yield (-1, -nhi, -rem)
+            else:
+                yield None
 
 
 def worley_walk(enc: Enclosure, T: int, C: Fraction):
@@ -414,9 +439,9 @@ class RotationScan:
     tests of the exact approximate counts and of the census, which both take
     their approximates level by level from `worley_walk` instead (the census
     oracle `census.brute_force_in_R` scans without keeping records).  The
-    records are `Enclosure.rotation` on one shared enclosure; a query the
-    current enclosure cannot decide widens it, and the records are rebuilt
-    on the tighter interval.
+    records come from `Enclosure.rotations`, one addition per q, on one
+    shared enclosure; a query the current enclosure cannot decide widens it,
+    and the records are rebuilt on the tighter interval.
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):
@@ -430,7 +455,7 @@ class RotationScan:
         some q is undecided there."""
         if iv is not self._iv:
             enc = self.enclosure
-            records = [enc.rotation(q) for q in range(1, self.q_max + 1)]
+            records = list(enc.rotations(self.q_max))
             if None in records:
                 return None
             self._iv, self._D, self._records = iv, enc.D, records

@@ -1,10 +1,11 @@
 import csv
+import io
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latdir import census as cns
@@ -152,6 +153,54 @@ def test_level9_rows_are_never_held_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _csv_writer_text(rows):
+    """The CSV that `csv.writer` makes of the header and the tuple view."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cns.ROW_FIELDS)
+    writer.writerows(iter(rows))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5, 7, 9])
+def test_csv_text_is_the_csv_writer_text(n_max):
+    rows = cns.build_census(n_max).rows
+    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+
+
+BIG_ELEMENT = st.integers(cns.ROW_FULL_CAP + 1, 20 * cns.ROW_FULL_CAP)
+
+
+# full levels (a_{n+1} + 1 <= ROW_FULL_CAP) write every candidate, big ones
+# their in-census runs and cutoff witnesses, whose signs come from _row_sign
+@given(st.one_of(st.integers(4, 60), BIG_ELEMENT),
+       st.lists(st.one_of(st.integers(2, 60), BIG_ELEMENT), min_size=6, max_size=6))
+@example(a1=600, rest=[4, 600, 3, 2_000, 2, 5_000])
+@settings(max_examples=25, deadline=None)
+def test_csv_text_matches_csv_writer_on_random_numbers(a1, rest):
+    elements = [a1, *rest]
+    cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)])
+    rows = cns.build_census(5, cf=cf).rows
+    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+
+
+# The level-9 CSV is 4.66 MB of text.  Written a run slice (ROW_SLICE rows) at
+# a time, the run holds a few slices; this bound was fixed before the test
+# first ran, and a writer that joins all the text first fails it.
+CSV_WRITE_PEAK_BYTES = 2 << 20
+
+
+def test_level9_csv_is_never_held_whole(tmp_path):
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", "biased-census", "--nmax", "9", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "biased-census-rows.csv").stat().st_size > 4_600_000
+    assert peak < CSV_WRITE_PEAK_BYTES
 
 
 def test_big_level_zero_follows_the_row_cap():

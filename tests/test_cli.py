@@ -194,6 +194,15 @@ def test_run_nonminimal(tmp_path):
     assert obj["summary"]["max_diagonal_residual"] <= 1e-9
 
 
+def test_run_without_trace_rows_writes_no_csv(tmp_path):
+    # at T = 1 and C = 0.001 there is no approximate, so no witness row
+    out = tmp_path / "nm"
+    rc = cli.main(["run", "nonminimal", "--d", "2", "--T", "1", "--C", "0.001", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert json.loads((out / "nonminimal-report.json").read_text())["summary"]["total"] == 0
+    assert not (out / "nonminimal-trace.csv").exists()
+
+
 def test_run_birkhoff(tmp_path):
     out = tmp_path / "bk"
     rc = cli.main(["run", "birkhoff", "--x", "0.3183098861837907", "--N", "8", "--out", str(out)])

@@ -1,3 +1,4 @@
+import random
 import threading
 from fractions import Fraction
 
@@ -272,6 +273,44 @@ def test_enclosure_doubles_to_the_cap():
         enc.widen()
     with pytest.raises(PrefixCapExceeded):
         Enclosure(b, 2, 4).decide(lambda iv: None)
+
+
+def _undecided_kinds(enc, q_max):
+    """Which of the two undecided cases of `rotation` occur for q <= q_max:
+    the nearest integer to q*x (with q.x's sign on the lower end >= 0), and
+    the sign alone."""
+    L, D, kinds = enc.L, enc.D, set()
+    for q in range(1, q_max + 1):
+        r = (2 * q * L + D) // (2 * D)
+        nlo = q * L - r * D
+        if (2 * q * (L + 1) + D) // (2 * D) != r:
+            kinds.add("nearest" if nlo >= 0 else "other")
+        elif nlo < 0 < nlo + q:
+            kinds.add("sign")
+    return kinds
+
+
+@pytest.mark.parametrize("depth", [2, 4, 8, 16])
+def test_rotations_step_equals_rotation(depth):
+    # the incremental scan yields exactly the per-q records, None included;
+    # at depth 2 every number leaves both kinds of q undecided below q_max
+    rng = random.Random(15)
+    cfs = [biased_number()] + [CFNumber.from_elements([rng.randint(1, 9) for _ in range(256)])
+                               for _ in range(4)]
+    q_max = 20_000
+    for cf in cfs:
+        enc = Enclosure(cf, depth)
+        assert list(enc.rotations(q_max)) == [enc.rotation(q) for q in range(1, q_max + 1)]
+        if depth == 2:
+            assert {"nearest", "sign"} <= _undecided_kinds(enc, q_max)
+
+
+@given(st.lists(st.integers(1, 500), min_size=17, max_size=17), st.integers(2, 16))
+@settings(max_examples=40, deadline=None)
+def test_rotations_step_equals_rotation_on_random_numbers(elems, depth):
+    enc = Enclosure(CFNumber.from_elements(elems), depth)
+    q_max = 3_000
+    assert list(enc.rotations(q_max)) == [enc.rotation(q) for q in range(1, q_max + 1)]
 
 
 # -- products and serialization ----------------------------------------------
