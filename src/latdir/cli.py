@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -69,6 +70,13 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r} (choose from {EXPERIMENTS})")
         if self.d < 1:
             raise ValueError("--d must be at least 1")
+        for name in ("T", "t", "c", "C", "x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"--{name} must be finite")
+        if self.c <= 0.0:
+            raise ValueError("--c must be positive")
+        if self.C < 0.0:
+            raise ValueError("--C must be positive, or 0 for the default")
         if self.budget and self.experiment != "thm3":
             raise ValueError("--budget is for thm3 only; LATDIR_BUDGET caps every experiment")
         if self.threads != 1:

@@ -14,14 +14,14 @@ transforms of `siegel.RegionIndicator` both go through it.  The enumerator
 LLL-reduces the basis in the metric of its box first and scans a plain
 integer box in the reduced coordinates, so its cost does not grow with the
 condition number of a flowed basis g_t k B.  It takes a whole stack of bases,
-reduces a large stack in one vectorised LLL pass, and walks the candidates
-of all their boxes in fixed-size chunks, so the Monte Carlo driver
-(`siegel.thm3_ratio`) counts all its samples in one pass.  Horospherical
-lattices h_x Z^{d+1} (float Dirichlet approximates and shell counts) go
-through the same enumerator: the q-window is cut into geometric shells, and
-each shell, flowed by g_s, fills one fixed box (Dani's correspondence), so a
-count up to T is one stack of O(log T) boxes, and the float counts of many
-targets are one stack of all their shells.
+reduces it in one vectorised LLL pass, and walks the candidates of all their
+boxes in fixed-size chunks, so `siegel.thm3_ratio` counts all its Monte Carlo
+samples in one pass.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
+approximates and region counts) go through the same enumerator: the
+q-window is cut into geometric shells, and each shell, flowed by g_s, fills
+one fixed box (Dani's correspondence), so a count up to T is one stack of
+O(log T) boxes, and the float counts of many targets, or of many regions of
+one lattice (`count_regions`), are one stack of all their shells.
 Exact approximate counts of a continued-fraction target (d = 1) need no
 lattice: they walk the O(log T) convergent levels q_m <= T and decide a
 bounded set of candidate denominators at each (`contfrac.worley_walk`).
@@ -30,7 +30,6 @@ bounded set of candidate denominators at each (`contfrac.worley_walk`).
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -138,7 +137,9 @@ class RegionSpec:
             raise ValueError("kind must be 'P', 'R', or 'Q'")
         if self.norm not in ("euclidean", "sup"):
             raise ValueError("norm must be 'euclidean' or 'sup'")
-        if self.c <= 0.0:
+        if not self.c >= 0.0:
+            raise ValueError("c must be positive (0 takes the default 1)")
+        if self.c == 0.0:
             # sup norm: the Dirichlet constant can be taken to be 1; euclidean:
             # only existence of the constant matters, 1 is the working default
             object.__setattr__(self, "c", 1.0)
@@ -262,63 +263,6 @@ LLL_DELTA = 0.75
 LLL_STEP_CAP = 5000  # a capped, partly reduced basis only costs candidates
 U_ENTRY_CAP = 2**53  # below it the entries of U are exact in float and in int64
 TOO_ILL_CONDITIONED = "ill-conditioned basis: the reduction needs transform entries beyond float precision"
-LLL_STACK_MIN = 32  # measured crossover: stacks this large take the vectorised LLL
-
-
-def _lll_transform(B: np.ndarray) -> list[list[int]]:
-    """Columns of an exact unimodular U with B U LLL-reduced (delta = 3/4).
-
-    Gram-Schmidt runs in floats on the columns of B; U is tracked in Python
-    integers, so a float slip can leave B U less reduced but never changes the
-    lattice it spans.  Rows below k stay valid across steps: row k is
-    recomputed from the current b_k each step, and row 0 after a swap at
-    k = 1, which gives the same floats as a full recompute.
-    """
-    n = B.shape[1]
-    b = B.T.tolist()
-    u = [[int(i == j) for i in range(n)] for j in range(n)]
-    mu = [[0.0] * n for _ in range(n)]
-    stars: list = [None] * n
-    norm2 = [0.0] * n
-
-    def gs_row(i):
-        v = b[i]
-        for j in range(i):
-            mu[i][j] = c = sum(map(operator.mul, b[i], stars[j])) / norm2[j]
-            v = [x - c * y for x, y in zip(v, stars[j])]
-        nv = sum(map(operator.mul, v, v))
-        if not 0.0 < nv < math.inf:
-            raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
-        stars[i], norm2[i] = v, nv
-
-    gs_row(0)
-    k = 1
-    for _ in range(LLL_STEP_CAP):
-        if k >= n:
-            break
-        gs_row(k)
-        for j in range(k - 1, -1, -1):  # size-reduce b_k
-            q = round(mu[k][j])
-            if q:
-                if abs(q) * max(map(abs, u[j])) + max(map(abs, u[k])) >= U_ENTRY_CAP:
-                    raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
-            k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            u[k - 1], u[k] = u[k], u[k - 1]
-            if k == 1:
-                gs_row(0)
-            k = max(k - 1, 1)
-    _require_unimodular(u)
-    return u
-
-
 def _lll_stacked(A: np.ndarray) -> np.ndarray:
     """Exact unimodular U, a (K, n, n) int64 stack, with every A[k] U[k]
     LLL-reduced (delta = 3/4), in one vectorised pass over the stack.
@@ -326,9 +270,9 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
     Each round recomputes A U for the bases still active, takes one stacked
     QR, size-reduces every column on R (the same column operations on R and
     U), and swaps the pair at the first Lovasz violation; a basis without
-    one is done.  As in `_lll_transform`, a float slip costs candidates,
-    never points, and a basis still active after LLL_STEP_CAP rounds keeps
-    its partly reduced U.
+    one is done.  Gram-Schmidt runs in floats but U stays exact, so a float
+    slip leaves A U less reduced, which costs candidates, never points; a
+    basis still active after LLL_STEP_CAP rounds keeps its partly reduced U.
     """
     K, n = A.shape[:2]
     U = np.broadcast_to(np.eye(n, dtype=np.int64), (K, n, n)).copy()
@@ -344,6 +288,8 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
         for j in range(1, n):
             for i in range(j - 1, -1, -1):
                 q = np.rint(R[:, i, j] / R[:, i, i])
+                if not q.any():  # already size-reduced (a NaN q counts as nonzero)
+                    continue
                 grown = np.abs(q) * np.abs(Ua[:, :, i]).max(axis=1) + np.abs(Ua[:, :, j]).max(axis=1)
                 if not np.all(grown < U_ENTRY_CAP):  # also catches a NaN q
                     raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
@@ -408,6 +354,45 @@ def _points(nf: np.ndarray, Bs: np.ndarray, k: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _integer_boxes(Bs: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, m_lo, sizes) for `enumerate_stacked`: each basis's exact reducing
+    transform and the integer box m_lo <= m < m_lo + sizes whose candidates
+    n = U m cover the basis's box, checked against the budget.  Its
+    temporaries die here, before any candidate is expanded."""
+    dim = Bs.shape[1]
+    # reduce diag(1/w) B, w the box's widths; a width that is 0 or infinite
+    # takes the box's largest finite width (1 if none), so the scale stays finite
+    w = hi - lo
+    usable = np.isfinite(w) & (w > 0.0)
+    widest = np.where(usable, w, 0.0).max(axis=1, keepdims=True)
+    w = np.where(usable, w, np.where(widest > 0.0, widest, 1.0))
+    Us = _lll_stacked(Bs / w[:, :, None])
+    try:
+        Rinv = np.linalg.inv(Bs @ Us)
+    except np.linalg.LinAlgError:
+        raise CandidateBudgetExceeded("degenerate basis: singular after reduction") from None
+    with np.errstate(all="ignore"):
+        center = np.einsum("kij,kj->ki", Rinv, (lo + hi) / 2.0)
+        extent = np.einsum("kij,kj->ki", np.abs(Rinv), (hi - lo) / 2.0)
+        # widen by the rounding error of the float products B U m and n @ B.T
+        m_abs = np.abs(center) + extent + 1.0
+        rounding = 4 * dim * np.finfo(float).eps * np.einsum(
+            "kij,kj->ki", np.abs(Bs), np.einsum("kij,kj->ki", np.abs(Us), m_abs))
+        extent += np.einsum("kij,kj->ki", np.abs(Rinv), rounding)
+    m_lo, m_hi = _int_bounds(center - extent, center + extent)
+    if not (np.all(np.isfinite(m_lo)) and np.all(np.isfinite(m_hi))):
+        raise CandidateBudgetExceeded("unbounded preimage of the box: degenerate basis or infinite box")
+    sizes = np.maximum(m_hi - m_lo + 1.0, 0.0)
+    # a float product of sizes is exact below 2^53, so only the boxes past
+    # 2^52 or the budget are recounted, in Python integers that never wrap
+    for row in sizes[sizes.prod(axis=1) > min(budget, 2.0**52)].tolist():
+        total = math.prod(int(v) for v in row)
+        if total > budget:
+            raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
+    return Us, m_lo.astype(np.int64), sizes.astype(np.int64)
+
+
 def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
                       ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """All nonzero points of K lattices in closed axis-aligned boxes, exhaustively.
@@ -422,10 +407,8 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
     number e^{(d+1)t}) until the rounding margin of the float products
     dominates, near condition number 1e12.  The box is bounded from a fresh
     product B U, so an imperfect float reduction costs candidates, never
-    points, and the points do not depend on U.  A stack of at least
-    LLL_STACK_MIN bases is reduced in one vectorised pass (`_lll_stacked`),
-    a smaller one basis by basis (`_lll_transform`); the two cost the same
-    near that size.
+    points, and the points do not depend on U.  The whole stack is reduced
+    in one vectorised pass (`_lll_stacked`).
 
     The candidates of all integer boxes form one mixed-radix index range,
     expanded ENUM_CHUNK at a time: each chunk forms n = U m and the points
@@ -453,40 +436,7 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
     if np.any(hi < lo):
         raise ValueError("box endpoints out of order")
     lo, hi = np.broadcast_to(lo, (K, dim)), np.broadcast_to(hi, (K, dim))
-    budget = budget if budget is not None else default_budget()
-    # reduce diag(1/w) B, w the box's widths; a width that is 0 or infinite
-    # takes the box's largest finite width (1 if none), so the scale stays finite
-    w = hi - lo
-    usable = np.isfinite(w) & (w > 0.0)
-    widest = np.where(usable, w, 0.0).max(axis=1, keepdims=True)
-    w = np.where(usable, w, np.where(widest > 0.0, widest, 1.0))
-    scaled = Bs / w[:, :, None]
-    if K >= LLL_STACK_MIN:
-        Us = _lll_stacked(scaled)
-    else:
-        Us = np.array([_lll_transform(A) for A in scaled], dtype=np.int64).transpose(0, 2, 1)
-    try:
-        Rinv = np.linalg.inv(Bs @ Us)
-    except np.linalg.LinAlgError:
-        raise CandidateBudgetExceeded("degenerate basis: singular after reduction") from None
-    with np.errstate(all="ignore"):
-        center = np.einsum("kij,kj->ki", Rinv, (lo + hi) / 2.0)
-        extent = np.einsum("kij,kj->ki", np.abs(Rinv), (hi - lo) / 2.0)
-        # widen by the rounding error of the float products B U m and n @ B.T
-        m_abs = np.abs(center) + extent + 1.0
-        rounding = 4 * dim * np.finfo(float).eps * np.einsum(
-            "kij,kj->ki", np.abs(Bs), np.einsum("kij,kj->ki", np.abs(Us), m_abs))
-        extent += np.einsum("kij,kj->ki", np.abs(Rinv), rounding)
-    m_lo, m_hi = _int_bounds(center - extent, center + extent)
-    if not (np.all(np.isfinite(m_lo)) and np.all(np.isfinite(m_hi))):
-        raise CandidateBudgetExceeded("unbounded preimage of the box: degenerate basis or infinite box")
-    sizes = np.maximum(m_hi - m_lo + 1.0, 0.0)
-    for row in sizes.tolist():
-        total = math.prod(int(v) for v in row)  # exact, never wraps
-        if total > budget:
-            raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
-    sizes = sizes.astype(np.int64)
-    m_lo = m_lo.astype(np.int64)
+    Us, m_lo, sizes = _integer_boxes(Bs, lo, hi, budget if budget is not None else default_budget())
     totals = sizes.prod(axis=1)
     ends = np.cumsum(totals)
     starts = ends - totals
@@ -548,53 +498,61 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
 SHELL_RATIO = 16  # q-shells e <= q < 16 e; ratio 2 costs more calls, 64 a bigger box
 
 
-def _horo_candidates(xs: np.ndarray, q_lo: int, q_hi: int, C: float, budget: int | None = None
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks (target, q, p) of the integer (q, p) with q_lo <= q <= q_hi and
-    |q x - p|_inf <= C q^{-1/d}, for every row x of the (N, d) stack `xs`; a
-    few points just beyond the radius may come along.  Rows are sorted by
-    (target, q, p) within each block, and the blocks follow one another in
-    that order.
+def _flowed_shells(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[float]):
+    """(row, bases, box_lo, box_hi, window) of the flowed shells of
+    `_horo_candidates`, one entry a shell, row-major; None if no row has a
+    shell.  The shell lists die here, before any candidate is expanded."""
+    d = xs.shape[1]
+    rows, es, tops = [], [], []  # one entry a shell, row-major
+    for i, (e, hi) in enumerate(zip(q_lo, q_hi)):
+        while e <= hi:
+            rows.append(i)
+            es.append(e)
+            tops.append(min(e * SHELL_RATIO - 1, hi))
+            e *= SHELL_RATIO
+    if not es:
+        return None
+    row = np.array(rows)
+    x, c = xs[row], np.array(C, dtype=float)[row, None]
+    a = np.array([e ** (1.0 / d) for e in es])
+    top = np.array(tops, dtype=float)
+    B = np.zeros((len(es), d + 1, d + 1))
+    B[:, range(d), range(d)] = a[:, None]
+    B[:, d, d] = [1.0 / e for e in es]
+    B[:, :d, d] = a[:, None] * x
+    n_abs = np.column_stack([np.abs(x) * top[:, None] + c + 1.0, top])
+    margin = 4 * (d + 1) * np.finfo(float).eps * (np.einsum("kij,kj->ki", np.abs(B), n_abs) + c)
+    r = c + margin[:, :d]
+    box_lo = np.column_stack([-r, [(e - 0.5) / e for e in es]])
+    box_hi = np.column_stack([r, [(t + 0.5) / e for e, t in zip(es, tops)]])
+    return row, B, box_lo, box_hi, np.array([es, tops], dtype=np.int64)
+
+
+def _horo_candidates(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[float],
+                     budget: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks (row, q, p) of the integer (q, p) with q_lo[i] <= q <= q_hi[i]
+    and |q x - p|_inf <= C[i] q^{-1/d}, for every row x = xs[i] of the (N, d)
+    stack `xs`; a few points just beyond the radius may come along.  Rows are
+    sorted by (row, q, p) within each block, and the blocks follow one
+    another in that order.
 
     Dani's correspondence: the geometric shell e <= q < 16 e of h_x Z^{d+1},
     flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the fixed box
-    |v_1| <= C, 1 <= v_2 < 16, so the N S flowed shells of all targets are the
-    boxes of one `enumerate_stacked` call, O(log T) boxes a target.  Each box
-    is widened by the rounding error of its flowed float coordinates and of
-    the callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin,
-    so no point a float predicate on q x - p accepts is dropped by the box
+    |v_1| <= C, 1 <= v_2 < 16, so the shells of all rows, O(log(q_hi/q_lo))
+    a row, are the boxes of one `enumerate_stacked` call.  Each box is
+    widened by the rounding error of its flowed float coordinates and of the
+    callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin, so
+    no point a float predicate on q x - p accepts is dropped by the box
     filter.  The q-window is cut on the exact integer q.
     """
-    N, d = xs.shape
-    es = []
-    e = q_lo
-    while e <= q_hi:
-        es.append(e)
-        e *= SHELL_RATIO
-    if not es:
+    shells = _flowed_shells(xs, q_lo, q_hi, C)
+    if shells is None:
         return
-    S = len(es)
-    tops = [min(e * SHELL_RATIO - 1, q_hi) for e in es]
-    a = np.array([e ** (1.0 / d) for e in es])
-    top = np.array(tops, dtype=float)
-    # the (N, S) stack of flowed bases, target-major: basis k is target k // S, shell k % S
-    B = np.zeros((N, S, d + 1, d + 1))
-    B[:, :, range(d), range(d)] = a[:, None]
-    B[:, :, d, d] = [1.0 / e for e in es]
-    B[:, :, :d, d] = a[:, None] * xs[:, None, :]
-    n_abs = np.concatenate([np.abs(xs)[:, None, :] * top[:, None] + C + 1.0,
-                            np.broadcast_to(top[:, None], (N, S, 1))], axis=2)
-    margin = 4 * (d + 1) * np.finfo(float).eps * (np.einsum("nsij,nsj->nsi", np.abs(B), n_abs) + C)
-    r = C + margin[..., :d]
-    v2_lo = np.broadcast_to([(e - 0.5) / e for e in es], (N, S))
-    v2_hi = np.broadcast_to([(t + 0.5) / e for e, t in zip(es, tops)], (N, S))
-    box_lo = np.concatenate([-r, v2_lo[..., None]], axis=2).reshape(N * S, d + 1)
-    box_hi = np.concatenate([r, v2_hi[..., None]], axis=2).reshape(N * S, d + 1)
-    window = np.array([es, tops], dtype=np.int64)
-    for which, _, ns in enumerate_stacked(B.reshape(N * S, d + 1, d + 1), box_lo, box_hi, budget=budget):
-        t, s = np.divmod(which, S)
-        keep = (ns[:, d] >= window[0, s]) & (ns[:, d] <= window[1, s])
-        t, q, p = t[keep], ns[keep, d], -ns[keep, :d]
+    row, B, box_lo, box_hi, window = shells
+    d = xs.shape[1]
+    for which, _, ns in enumerate_stacked(B, box_lo, box_hi, budget=budget):
+        keep = (ns[:, d] >= window[0, which]) & (ns[:, d] <= window[1, which])
+        t, q, p = row[which[keep]], ns[keep, d], -ns[keep, :d]
         order = np.lexsort((*p.T[::-1], q, t))
         yield t[order], q[order], p[order]
 
@@ -632,28 +590,45 @@ def _count_from_points(points, spec, coords, lat, want_witnesses=False) -> Count
 
 def count_region(lat: Lattice, spec: RegionSpec, *, budget: int | None = None,
                  want_witnesses: bool = False) -> CountResult:
-    """#(lattice points in the region), split into total / in_A / degenerate.
+    """#(lattice points in the region), split into total / in_A / degenerate:
+    the one-spec call of `count_regions`."""
+    return count_regions(lat, [spec], budget=budget, want_witnesses=want_witnesses)[0]
+
+
+def count_regions(lat: Lattice, specs, *, budget: int | None = None,
+                  want_witnesses: bool = False) -> list[CountResult]:
+    """`count_region` for every spec of `specs`, from one stacked enumeration.
 
     A horospherical lattice is counted shell by shell through the flowed
-    lattice (`_horo_candidates`); any other lattice by one reduced box around
-    the region.  Either way the points are classified by the same predicate,
-    and `budget` caps each enumerated box.
+    lattice, one row of `_horo_candidates` a spec; any other lattice repeats
+    its basis, one reduced box around each region.  Either way each spec's
+    points are classified by the same predicate, and `budget` caps each
+    enumerated box.  Every spec is checked before anything is enumerated.
     """
-    spec.require_bounded()
-    if lat.dim != spec.d + 1:
-        raise ValueError("lattice / region dimension mismatch")
+    specs = list(specs)
+    for spec in specs:
+        spec.require_bounded()
+        if lat.dim != spec.d + 1:
+            raise ValueError("lattice / region dimension mismatch")
+    if not specs:
+        return []
     if lat.is_horospherical:
         x = np.asarray(lat.x, dtype=float)
-        lo, hi, lo_strict = spec.v2_window()
-        q_lo = math.floor(lo) + 1 if lo_strict else math.ceil(lo)
-        blocks = list(_horo_candidates(x[None], q_lo, math.floor(hi), spec.c ** (1.0 / spec.d), budget))
-        q = np.concatenate([np.zeros(0, dtype=np.int64), *(b[1] for b in blocks)])
-        p = np.concatenate([np.zeros((0, spec.d), dtype=np.int64), *(b[2] for b in blocks)])
-        pts = np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)])
-        ns = np.column_stack([-p, q])
+        windows = [spec.v2_window() for spec in specs]
+        q_lo = [math.floor(lo) + 1 if lo_strict else math.ceil(lo) for lo, _, lo_strict in windows]
+        q_hi = [math.floor(hi) for _, hi, _ in windows]
+        C = [spec.c ** (1.0 / spec.d) for spec in specs]
+        blocks = ((k, np.column_stack([q[:, None] * x[None, :] - p, q.astype(float)]),
+                   np.column_stack([-p, q]))
+                  for k, q, p in _horo_candidates(np.tile(x, (len(specs), 1)), q_lo, q_hi, C, budget))
     else:
-        pts, ns = enumerate_in_box(lat, *pad_box(*spec.bounding_box()), budget=budget)
-    return _count_from_points(pts, spec, ns, lat, want_witnesses)
+        lo, hi = (np.array(side) for side in zip(*(pad_box(*spec.bounding_box()) for spec in specs)))
+        blocks = enumerate_stacked(np.repeat(lat.basis[None], len(specs), axis=0), lo, hi, budget=budget)
+    empty = (np.zeros(0, np.int64), np.zeros((0, lat.dim)), np.zeros((0, lat.dim), np.int64))
+    which, pts, ns = (np.concatenate(part) for part in zip(empty, *blocks))
+    cuts = np.searchsorted(which, np.arange(len(specs) + 1)).tolist()
+    return [_count_from_points(pts[a:b], spec, ns[a:b], lat, want_witnesses)
+            for spec, a, b in zip(specs, cuts[:-1], cuts[1:])]
 
 
 def shell_count(lat: Lattice, i: int, c: float = 0.0, A: DirectionSet | None = None,
@@ -783,7 +758,7 @@ def _count_approx_float(xs: np.ndarray, T: int, C: float, A, norm: str, want_wit
     total, degenerate, in_A = (np.zeros(N, dtype=np.int64) for _ in range(3))
     first_degenerate = np.full(N, T + 1, dtype=np.int64)
     wits = [[] for _ in range(N)] if want_witnesses else None
-    for t, q, p in _horo_candidates(xs, 1, T, C):
+    for t, q, p in _horo_candidates(xs, [1] * N, [T] * N, [C] * N):
         v1 = q[:, None] * xs[t] - p
         nrm = _v1_norms(v1, norm)
         hit = nrm < C * q.astype(float) ** (-1.0 / d)

@@ -63,12 +63,18 @@ PINNED_CENSUS_9 = ("b82e20d729bf48f4ebf5dd3991747ea8afe4e47c34122a7d7691ad8fc5e9
                    "af177e877373c2d61cd06f8dcf902ddf93daaff1105dcd62b9fb811750b35c45")
 
 
-def _census_digests(out: Path, nmax: str) -> tuple[str, str]:
-    assert cli.main(["run", "biased-census", "--nmax", nmax, "--out", str(out)]) == EXIT_OK
-    report = _strip_timestamp(out / "biased-census-report.json")
+def _digests(out: Path, experiment: str, csv_name: str) -> tuple[str, str]:
+    """sha256 of a run's report with `timestamp` and `config.out` dropped,
+    and of its CSV as written."""
+    report = _strip_timestamp(out / f"{experiment}-report.json")
     report["config"].pop("out")
     return (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
-            hashlib.sha256((out / "biased-census-rows.csv").read_bytes()).hexdigest())
+            hashlib.sha256((out / csv_name).read_bytes()).hexdigest())
+
+
+def _census_digests(out: Path, nmax: str) -> tuple[str, str]:
+    assert cli.main(["run", "biased-census", "--nmax", nmax, "--out", str(out)]) == EXIT_OK
+    return _digests(out, "biased-census", "biased-census-rows.csv")
 
 
 def test_run_biased_census_pinned_digests(tmp_path):
@@ -95,11 +101,26 @@ PINNED_THM1 = {
 def test_run_thm1_pinned_digests(tmp_path, args):
     out = tmp_path / "thm1"
     assert cli.main(["run", "thm1", *args, "--out", str(out)]) == EXIT_OK
-    report = _strip_timestamp(out / "thm1-report.json")
-    report["config"].pop("out")
-    got = (hashlib.sha256(json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest(),
-           hashlib.sha256((out / "thm1-trace.csv").read_bytes()).hexdigest())
-    assert got == PINNED_THM1[args]
+    assert _digests(out, "thm1", "thm1-trace.csv") == PINNED_THM1[args]
+
+
+# the same for README's `run birkhoff` command, and for it with a direction
+# set in the euclidean norm
+PINNED_BIRKHOFF = {
+    ("--x", "0.3183098861837907", "--N", "14"): (
+        "bcaf0c20e332e2045788b8c16528dfbc7c99222cad181af8d9a1732716ed26b7",
+        "a55e878ebe4572cadc0098b6054faa1e26e14e8b4da8359b155ab5608eb3dae9"),
+    ("--x", "0.3183098861837907", "--N", "14", "--A", "sign:-1", "--norm", "euclidean"): (
+        "4e81e6dd6408ba60e52bb0c65d9d662cffc201270c99bc32dbbb01ff312343af",
+        "b90a23f639deb21bf8a68f8cd085df762ee640c7f4c67edef1e2c2d6ee922dea"),
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_BIRKHOFF))
+def test_run_birkhoff_pinned_digests(tmp_path, args):
+    out = tmp_path / "birkhoff"
+    assert cli.main(["run", "birkhoff", *args, "--out", str(out)]) == EXIT_OK
+    assert _digests(out, "birkhoff", "birkhoff-trace.csv") == PINNED_BIRKHOFF[args]
 
 
 def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
@@ -140,6 +161,17 @@ def test_config_error_exits_2(tmp_path):
     # --d below 1 is a config error, never a traceback
     for experiment in ("thm1", "thm3"):
         assert cli.main(["run", experiment, "--d", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm1", "--T", "inf"], ["nonminimal", "--d", "2", "--T", "inf"], ["thm3", "--t", "nan"],
+    ["birkhoff", "--c", "-1"], ["thm3", "--c", "-2"], ["birkhoff", "--c", "0"], ["thm3", "--c", "nan"],
+    ["nonminimal", "--d", "2", "--C", "-1"], ["thm1", "--C", "inf"], ["birkhoff", "--x", "nan"]])
+def test_bad_constants_are_config_errors(tmp_path, capsys, argv):
+    # these used to crash, exit 3, or run with a constant other than the one reported
+    assert cli.main(["run", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_budget_flag_is_thm3_only(tmp_path, capsys):

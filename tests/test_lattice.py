@@ -12,7 +12,7 @@ from latdir.contfrac import biased_number, constant_cf
 from latdir.lattice import (CandidateBudgetExceeded, DegenerateRational,
                             Lattice, RegionSpec, UnboundedRegion,
                             count_approximates, count_approximates_many,
-                            count_region, enumerate_in_box,
+                            count_region, count_regions, enumerate_in_box,
                             g_flow, lattice_from_x, region_volume,
                             shell_count)
 from latdir.siegel import haar_rotation
@@ -101,6 +101,10 @@ def test_region_validation():
         RegionSpec("X", 1, T=10)
     with pytest.raises(ValueError):
         RegionSpec("R", 1, T=10, eps=1.5)
+    for c in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="c must be positive"):
+            RegionSpec("P", 1, T=10, c=c)
+    assert RegionSpec("P", 1, T=10, c=0.0).c == 1.0  # 0 takes the default
     with pytest.raises(UnboundedRegion):
         count_region(Z2, RegionSpec("R", 1, T=10, eps=0.0))
     with pytest.raises(UnboundedRegion):
@@ -152,26 +156,34 @@ def test_enumerate_budget_counts_huge_box_exactly():
     # (2e12 + 1)^2 candidates: an int64 product would wrap, the exact count trips
     with pytest.raises(CandidateBudgetExceeded):
         enumerate_in_box(Z2, [-1e12, -1e12], [1e12, 1e12])
+    # past 2^53 a float product is inexact too: the message carries the exact count
+    with pytest.raises(CandidateBudgetExceeded, match=rf"^\d{{25}} candidates exceeds budget {2**62}$"):
+        enumerate_in_box(Z2, [-1e12, -1e12], [1e12, 1e12], budget=2**62)
+
+
+def test_enumerate_budget_admits_exactly_the_budget():
+    lo, hi = [-2.5, -1.5], [2.5, 1.5]
+    with pytest.raises(CandidateBudgetExceeded) as e:
+        enumerate_in_box(Z2, lo, hi, budget=0)
+    need = int(str(e.value).split()[0])
+    assert need >= 15  # the 5 x 3 integer points of the box, plus margin
+    assert len(enumerate_in_box(Z2, lo, hi, budget=need)[0]) == 14
+    with pytest.raises(CandidateBudgetExceeded, match=f"{need} candidates exceeds budget {need - 1}"):
+        enumerate_in_box(Z2, lo, hi, budget=need - 1)
 
 
 DEGENERATE = [[[1.0, 2.0], [2.0, 4.0]],
               [[1.0, 0.0], [0.0, 0.0]],
               [[1.0, 1.0], [1.0, 1.0 + 2.0**-45]],
               [[1.0, 0.0], [0.0, math.nan]]]
-PAST_CROSSOVER = lm.LLL_STACK_MIN  # stacks this large take the vectorised LLL
 
 
 @pytest.mark.parametrize("basis", DEGENERATE)
-def test_enumerate_degenerate_basis_raises_budget(basis, size=1):
-    # the basis comes last in a stack of `size`, after copies of Z^2
-    stack = np.array([np.eye(2)] * (size - 1) + [basis])
+def test_enumerate_degenerate_basis_raises_budget(basis):
+    # the basis comes last in a stack of 3, after copies of Z^2
+    stack = np.array([np.eye(2)] * 2 + [basis])
     with pytest.raises(CandidateBudgetExceeded):
         next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
-
-
-@pytest.mark.parametrize("basis", DEGENERATE)
-def test_enumerate_degenerate_basis_raises_budget_past_the_crossover(basis):
-    test_enumerate_degenerate_basis_raises_budget(basis, size=PAST_CROSSOVER)
 
 
 def test_enumerate_infinite_box_raises_budget():
@@ -181,11 +193,10 @@ def test_enumerate_infinite_box_raises_budget():
         enumerate_in_box(Z2, [-math.inf, -1.0], [math.inf, 1.0])
 
 
-@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
-def test_enumerate_rejects_a_transform_beyond_float_precision(size):
+def test_enumerate_rejects_a_transform_beyond_float_precision():
     # unimodular, but its reduction needs U entries of 10^20, which neither
-    # int64 nor the float product B U holds
-    stack = np.array([np.eye(2)] * (size - 1) + [[[1.0, 1e20], [0.0, 1.0]]])
+    # int64 nor the float product B U holds; it comes last in a stack of 3
+    stack = np.array([np.eye(2)] * 2 + [[[1.0, 1e20], [0.0, 1.0]]])
     with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
         next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
 
@@ -305,19 +316,13 @@ def _brute_force_2d(B, lo, hi) -> np.ndarray:
     return ns[np.lexsort(ns.T[::-1])]
 
 
-def _repeat(items, size):
-    """`items` cycled to length `size` (at least one full copy)."""
-    return [items[k % len(items)] for k in range(max(size, len(items)))]
-
-
-def test_stacked_mixes_flow_times(size=12):
-    # flowed Haar bases at t = 0, 3 and 8 in one stack of `size`, against one
-    # enumeration per basis (a one-basis stack, reduced basis by basis) and
-    # the brute-force scan
+def test_stacked_mixes_flow_times():
+    # flowed Haar bases at t = 0, 3 and 8, twice over in one stack, against
+    # one enumeration per basis (a one-basis stack) and the brute-force scan
     lo, hi = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(11)
     distinct = [g_flow(t, 1) @ haar_rotation(2, rng) for _ in range(4) for t in (0.0, 3.0, 8.0)]
-    bases = _repeat(distinct, size)
+    bases = distinct * 2
     which, pts, ns = _stacked(bases, lo, hi)
     assert set(which.tolist()) == set(range(len(bases)))
     for k, B in enumerate(distinct):
@@ -327,16 +332,13 @@ def test_stacked_mixes_flow_times(size=12):
             assert np.array_equal(ns[which == copy], one_ns) and np.array_equal(pts[which == copy], one_pts)
 
 
-def test_stacked_mixes_flow_times_past_the_crossover():
-    test_stacked_mixes_flow_times(size=PAST_CROSSOVER)
-
-
-def test_stacked_takes_one_box_per_basis(size=4):
+def test_stacked_takes_one_box_per_basis():
+    # four bases with their own boxes, twice over in one stack
     rng = np.random.default_rng(3)
     distinct = [haar_rotation(2, rng), np.eye(2), g_flow(2.0, 1) @ haar_rotation(2, rng), np.eye(2)]
-    lo = np.array(_repeat([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]], size))
-    hi = np.array(_repeat([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]], size))
-    bases = _repeat(distinct, size)
+    lo = np.array([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]] * 2)
+    hi = np.array([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]] * 2)
+    bases = distinct * 2
     which, pts, ns = _stacked(bases, lo, hi)
     # Z^2 has no point in [0.2, 0.8]^2, so basis 1 yields nothing; box 3 has width 0 in x
     assert set(which.tolist()) == {k for k in range(len(bases)) if k % 4 != 1}
@@ -349,42 +351,36 @@ def test_stacked_takes_one_box_per_basis(size=4):
         assert ns[which == k].tolist() == [[0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3]]
 
 
-def test_stacked_takes_one_box_per_basis_past_the_crossover():
-    test_stacked_takes_one_box_per_basis(size=PAST_CROSSOVER)
-
-
 def test_stacked_flowed_bases_in_dimension_four():
-    # n = 4 (d = 3, t = 6) past the crossover: every block equals that
-    # basis's own enumeration, which reduces it basis by basis
+    # n = 4 (d = 3, t = 6), 32 bases in one stack: every block equals that
+    # basis's own one-basis enumeration
     lo, hi = RegionSpec("R", 3, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(2026)
-    bases = [g_flow(6.0, 3) @ haar_rotation(4, rng) for _ in range(PAST_CROSSOVER)]
+    bases = [g_flow(6.0, 3) @ haar_rotation(4, rng) for _ in range(32)]
     which, pts, ns = _stacked(bases, lo, hi)
-    assert len(set(which.tolist())) > PAST_CROSSOVER // 2
+    assert len(set(which.tolist())) > 16
     for k, B in enumerate(bases):
         one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
         assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
 
 
-@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
-def test_capped_reduction_keeps_every_point(size, monkeypatch):
-    # two steps or rounds leave the flowed bases partly reduced (at t = 2
-    # their integer boxes hold 5-50 times the candidates): U is still exact
-    # and unimodular, so the points are those of the full reduction
+def test_capped_reduction_keeps_every_point(monkeypatch):
+    # two rounds leave the flowed bases partly reduced (at t = 2 their
+    # integer boxes hold 5-50 times the candidates): U is still exact and
+    # unimodular, so the points are those of the full reduction
     lo, hi = RegionSpec("R", 2, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(5)
-    bases = [g_flow(2.0, 2) @ haar_rotation(3, rng) for _ in range(size)]
+    bases = [g_flow(2.0, 2) @ haar_rotation(3, rng) for _ in range(8)]
     full = _stacked(bases, lo, hi)
     monkeypatch.setattr(lm, "LLL_STEP_CAP", 2)
     capped = _stacked(bases, lo, hi)
     assert len(full[0]) and all(np.array_equal(a, b) for a, b in zip(full, capped))
 
 
-@pytest.mark.parametrize("size", [1, PAST_CROSSOVER])
-def test_non_unimodular_transform_raises_arithmetic_error(size, monkeypatch):
+def test_non_unimodular_transform_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(lm, "_int_det", lambda rows: 2)
     with pytest.raises(ArithmeticError, match="non-unimodular"):
-        next(lm.enumerate_stacked(np.array([np.eye(2)] * size), [-1.5, -1.5], [1.5, 1.5]))
+        next(lm.enumerate_stacked(np.array([np.eye(2)] * 3), [-1.5, -1.5], [1.5, 1.5]))
 
 
 def _cofactor_det(rows):
@@ -419,16 +415,13 @@ def test_stacked_expands_a_large_box_in_slices():
     assert np.array_equal(ns_one, big) and np.array_equal(pts_one, pts[which == 0])
 
 
-def test_stacked_degenerate_basis_raises(size=3, basis=DEGENERATE[0]):
-    stack = [np.eye(2), np.array(basis)] + [np.eye(2)] * (size - 2)
-    with pytest.raises(CandidateBudgetExceeded, match="degenerate"):
-        next(lm.enumerate_stacked(np.array(stack), [-1.5, -1.5], [1.5, 1.5]))
-
-
-# singular and NaN; the near-singular basis trips the budget on both paths
-@pytest.mark.parametrize("basis", [DEGENERATE[0], DEGENERATE[1], DEGENERATE[3]])
-def test_stacked_degenerate_basis_raises_past_the_crossover(basis):
-    test_stacked_degenerate_basis_raises(PAST_CROSSOVER, basis)
+def test_stacked_degenerate_basis_raises():
+    # singular and NaN bases in the middle of a stack; the near-singular one
+    # trips the budget instead (test_enumerate_degenerate_basis_raises_budget)
+    for basis in (DEGENERATE[0], DEGENERATE[1], DEGENERATE[3]):
+        stack = [np.eye(2), np.array(basis), np.eye(2)]
+        with pytest.raises(CandidateBudgetExceeded, match="degenerate"):
+            next(lm.enumerate_stacked(np.array(stack), [-1.5, -1.5], [1.5, 1.5]))
 
 
 def test_stacked_over_budget_box_raises_before_any_candidate():
@@ -484,6 +477,53 @@ def test_count_region_generic_matches_horospherical():
         a = count_region(horo, spec)
         b = count_region(generic, spec)
         assert (a.total, a.in_A, a.degenerate) == (b.total, b.in_A, b.degenerate)
+
+
+REGIONS_LATTICES = {
+    "horospherical-d1": lattice_from_x(0.37),
+    "generic-d1": Lattice(lattice_from_x(0.37).basis.copy()),
+    "horospherical-d2": lattice_from_x((0.3137515, 0.7390812)),
+    "generic-d2": Lattice(haar_rotation(3, np.random.default_rng(4)), check=False),
+}
+
+
+@pytest.mark.parametrize("name", list(REGIONS_LATTICES))
+@pytest.mark.parametrize("norm", ["sup", "euclidean"])
+@pytest.mark.parametrize("with_A", [False, True])
+@pytest.mark.parametrize("want_witnesses", [False, True])
+def test_count_regions_equals_one_call_a_spec(name, norm, with_A, want_witnesses):
+    lat = REGIONS_LATTICES[name]
+    d = lat.dim - 1
+    A = BATCH_SETS[d] if with_A else None
+    # shells with their own c (c = 1e-6 leaves Q_3 empty), a P and an R region
+    specs = [RegionSpec("Q", d, T=2.0**i, c=c, norm=norm, A=A)
+             for i, c in ((1, 1.0), (2, 0.5), (3, 1e-6), (4, 2.0), (5, 1.0))]
+    specs += [RegionSpec("P", d, T=40.0, c=0.8, norm=norm, A=A),
+              RegionSpec("R", d, T=60.0, c=1.0, eps=0.3, norm=norm, A=A)]
+    got = count_regions(lat, specs, want_witnesses=want_witnesses)
+    want = [count_region(lat, spec, want_witnesses=want_witnesses) for spec in specs]
+    assert [r.to_obj() for r in got] == [r.to_obj() for r in want]
+    assert got[2].total == 0 and sum(r.total for r in got) > 0
+
+
+@pytest.mark.parametrize("name", list(REGIONS_LATTICES))
+def test_count_regions_checks_every_spec_before_enumerating(name, monkeypatch):
+    lat = REGIONS_LATTICES[name]
+    d = lat.dim - 1
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a region was enumerated")
+
+    monkeypatch.setattr(lm, "enumerate_stacked", enumerated)
+    shell = RegionSpec("Q", d, T=8.0)
+    for bad, error in ((RegionSpec("R", d, T=10.0, eps=0.0), UnboundedRegion),
+                       (RegionSpec("Q", d + 1, T=8.0), ValueError)):
+        for at in range(3):
+            specs = [shell, shell]
+            specs.insert(at, bad)
+            with pytest.raises(error):
+                count_regions(lat, specs)
+    assert count_regions(lat, []) == []
 
 
 def test_count_approximates_biased_convergents_all_counted():
