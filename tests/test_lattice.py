@@ -176,14 +176,23 @@ DEGENERATE = [[[1.0, 2.0], [2.0, 4.0]],
               [[1.0, 0.0], [0.0, 0.0]],
               [[1.0, 1.0], [1.0, 1.0 + 2.0**-45]],
               [[1.0, 0.0], [0.0, math.nan]]]
+# the `_past_the_crossover` tests and the [1]/[32] cases run a check on a
+# stack of this many bases too, where the rounds of `_lll_stacked` carry many
+# bases at once (once the size at which a per-basis reduction gave way to it)
+BIG_STACK = 32
 
 
 @pytest.mark.parametrize("basis", DEGENERATE)
-def test_enumerate_degenerate_basis_raises_budget(basis):
-    # the basis comes last in a stack of 3, after copies of Z^2
-    stack = np.array([np.eye(2)] * 2 + [basis])
+def test_enumerate_degenerate_basis_raises_budget(basis, size=3):
+    # the basis comes last in a stack of `size`, after copies of Z^2
+    stack = np.array([np.eye(2)] * (size - 1) + [basis])
     with pytest.raises(CandidateBudgetExceeded):
         next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("basis", DEGENERATE)
+def test_enumerate_degenerate_basis_raises_budget_past_the_crossover(basis):
+    test_enumerate_degenerate_basis_raises_budget(basis, size=BIG_STACK)
 
 
 def test_enumerate_infinite_box_raises_budget():
@@ -193,10 +202,11 @@ def test_enumerate_infinite_box_raises_budget():
         enumerate_in_box(Z2, [-math.inf, -1.0], [math.inf, 1.0])
 
 
-def test_enumerate_rejects_a_transform_beyond_float_precision():
+@pytest.mark.parametrize("size", [1, BIG_STACK])
+def test_enumerate_rejects_a_transform_beyond_float_precision(size):
     # unimodular, but its reduction needs U entries of 10^20, which neither
-    # int64 nor the float product B U holds; it comes last in a stack of 3
-    stack = np.array([np.eye(2)] * 2 + [[[1.0, 1e20], [0.0, 1.0]]])
+    # int64 nor the float product B U holds; it comes last in a stack of `size`
+    stack = np.array([np.eye(2)] * (size - 1) + [[[1.0, 1e20], [0.0, 1.0]]])
     with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
         next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
 
@@ -316,13 +326,18 @@ def _brute_force_2d(B, lo, hi) -> np.ndarray:
     return ns[np.lexsort(ns.T[::-1])]
 
 
-def test_stacked_mixes_flow_times():
-    # flowed Haar bases at t = 0, 3 and 8, twice over in one stack, against
+def _repeat(items, size):
+    """`items` cycled to length `size` (at least one full copy)."""
+    return [items[k % len(items)] for k in range(max(size, len(items)))]
+
+
+def test_stacked_mixes_flow_times(size=24):
+    # flowed Haar bases at t = 0, 3 and 8, cycled to a stack of `size`, against
     # one enumeration per basis (a one-basis stack) and the brute-force scan
     lo, hi = RegionSpec("R", 1, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(11)
     distinct = [g_flow(t, 1) @ haar_rotation(2, rng) for _ in range(4) for t in (0.0, 3.0, 8.0)]
-    bases = distinct * 2
+    bases = _repeat(distinct, size)
     which, pts, ns = _stacked(bases, lo, hi)
     assert set(which.tolist()) == set(range(len(bases)))
     for k, B in enumerate(distinct):
@@ -332,13 +347,17 @@ def test_stacked_mixes_flow_times():
             assert np.array_equal(ns[which == copy], one_ns) and np.array_equal(pts[which == copy], one_pts)
 
 
-def test_stacked_takes_one_box_per_basis():
-    # four bases with their own boxes, twice over in one stack
+def test_stacked_mixes_flow_times_past_the_crossover():
+    test_stacked_mixes_flow_times(size=BIG_STACK)
+
+
+def test_stacked_takes_one_box_per_basis(size=8):
+    # four bases with their own boxes, cycled to a stack of `size`
     rng = np.random.default_rng(3)
     distinct = [haar_rotation(2, rng), np.eye(2), g_flow(2.0, 1) @ haar_rotation(2, rng), np.eye(2)]
-    lo = np.array([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]] * 2)
-    hi = np.array([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]] * 2)
-    bases = distinct * 2
+    lo = np.array(_repeat([[-2.0, -1.5], [0.2, 0.2], [-1.0, 0.1], [0.0, -3.0]], size))
+    hi = np.array(_repeat([[1.0, 2.5], [0.8, 0.8], [3.0, 1.0], [0.0, 3.0]], size))
+    bases = _repeat(distinct, size)
     which, pts, ns = _stacked(bases, lo, hi)
     # Z^2 has no point in [0.2, 0.8]^2, so basis 1 yields nothing; box 3 has width 0 in x
     assert set(which.tolist()) == {k for k in range(len(bases)) if k % 4 != 1}
@@ -351,36 +370,42 @@ def test_stacked_takes_one_box_per_basis():
         assert ns[which == k].tolist() == [[0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3]]
 
 
+def test_stacked_takes_one_box_per_basis_past_the_crossover():
+    test_stacked_takes_one_box_per_basis(size=BIG_STACK)
+
+
 def test_stacked_flowed_bases_in_dimension_four():
-    # n = 4 (d = 3, t = 6), 32 bases in one stack: every block equals that
-    # basis's own one-basis enumeration
+    # n = 4 (d = 3, t = 6), BIG_STACK bases in one stack: every block equals
+    # that basis's own one-basis enumeration
     lo, hi = RegionSpec("R", 3, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(2026)
-    bases = [g_flow(6.0, 3) @ haar_rotation(4, rng) for _ in range(32)]
+    bases = [g_flow(6.0, 3) @ haar_rotation(4, rng) for _ in range(BIG_STACK)]
     which, pts, ns = _stacked(bases, lo, hi)
-    assert len(set(which.tolist())) > 16
+    assert len(set(which.tolist())) > BIG_STACK // 2
     for k, B in enumerate(bases):
         one_pts, one_ns = enumerate_in_box(Lattice(B, check=False), lo, hi)
         assert np.array_equal(ns[which == k], one_ns) and np.array_equal(pts[which == k], one_pts)
 
 
-def test_capped_reduction_keeps_every_point(monkeypatch):
+@pytest.mark.parametrize("size", [1, BIG_STACK])
+def test_capped_reduction_keeps_every_point(size, monkeypatch):
     # two rounds leave the flowed bases partly reduced (at t = 2 their
     # integer boxes hold 5-50 times the candidates): U is still exact and
     # unimodular, so the points are those of the full reduction
     lo, hi = RegionSpec("R", 2, T=1.0, c=1.0, eps=0.1).bounding_box()
     rng = np.random.default_rng(5)
-    bases = [g_flow(2.0, 2) @ haar_rotation(3, rng) for _ in range(8)]
+    bases = [g_flow(2.0, 2) @ haar_rotation(3, rng) for _ in range(size)]
     full = _stacked(bases, lo, hi)
     monkeypatch.setattr(lm, "LLL_STEP_CAP", 2)
     capped = _stacked(bases, lo, hi)
     assert len(full[0]) and all(np.array_equal(a, b) for a, b in zip(full, capped))
 
 
-def test_non_unimodular_transform_raises_arithmetic_error(monkeypatch):
+@pytest.mark.parametrize("size", [1, BIG_STACK])
+def test_non_unimodular_transform_raises_arithmetic_error(size, monkeypatch):
     monkeypatch.setattr(lm, "_int_det", lambda rows: 2)
     with pytest.raises(ArithmeticError, match="non-unimodular"):
-        next(lm.enumerate_stacked(np.array([np.eye(2)] * 3), [-1.5, -1.5], [1.5, 1.5]))
+        next(lm.enumerate_stacked(np.array([np.eye(2)] * size), [-1.5, -1.5], [1.5, 1.5]))
 
 
 def _cofactor_det(rows):
@@ -415,13 +440,22 @@ def test_stacked_expands_a_large_box_in_slices():
     assert np.array_equal(ns_one, big) and np.array_equal(pts_one, pts[which == 0])
 
 
-def test_stacked_degenerate_basis_raises():
-    # singular and NaN bases in the middle of a stack; the near-singular one
-    # trips the budget instead (test_enumerate_degenerate_basis_raises_budget)
-    for basis in (DEGENERATE[0], DEGENERATE[1], DEGENERATE[3]):
-        stack = [np.eye(2), np.array(basis), np.eye(2)]
+# singular, zero-row and NaN bases; the near-singular one trips the budget
+# instead (test_enumerate_degenerate_basis_raises_budget)
+STACKED_DEGENERATE = [DEGENERATE[0], DEGENERATE[1], DEGENERATE[3]]
+
+
+def test_stacked_degenerate_basis_raises(size=3, bases=STACKED_DEGENERATE):
+    # each basis second in a stack of `size`, among copies of Z^2
+    for basis in bases:
+        stack = [np.eye(2), np.array(basis)] + [np.eye(2)] * (size - 2)
         with pytest.raises(CandidateBudgetExceeded, match="degenerate"):
             next(lm.enumerate_stacked(np.array(stack), [-1.5, -1.5], [1.5, 1.5]))
+
+
+@pytest.mark.parametrize("basis", STACKED_DEGENERATE)
+def test_stacked_degenerate_basis_raises_past_the_crossover(basis):
+    test_stacked_degenerate_basis_raises(BIG_STACK, [basis])
 
 
 def test_stacked_over_budget_box_raises_before_any_candidate():
