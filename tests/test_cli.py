@@ -123,6 +123,18 @@ def test_run_birkhoff_pinned_digests(tmp_path, args):
     assert _digests(out, "birkhoff", "birkhoff-trace.csv") == PINNED_BIRKHOFF[args]
 
 
+# the same for README's `run thm3` command: every rotation sample's bits
+PINNED_THM3 = ("47344c7583955ad6f0c31ac7717f45e36e535ccf0efeaed49012a921a887d4bc",
+               "b9158db6a17483a33b6235dee67f03738e4948f4a2cfacafc90272d51a4e6f0d")
+
+
+def test_run_thm3_pinned_digests(tmp_path):
+    out = tmp_path / "thm3"
+    assert cli.main(["run", "thm3", "--d", "2", "--eps", "0.1", "--t", "6", "--M", "2000",
+                     "--A", "hemisphere:1,0", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert _digests(out, "thm3", "thm3-trace.csv") == PINNED_THM3
+
+
 def test_run_biased_census_row_cap_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(census, "ROW_TOTAL_CAP", 100)
     out = tmp_path / "census"
