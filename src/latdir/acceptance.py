@@ -238,16 +238,13 @@ def check_spherical_averages(seed: int = SEED_MC) -> tuple[bool, str]:
 def check_haar_sampler(seed: int = SEED_HAAR) -> tuple[bool, str]:
     M = 10_000
     for n in (2, 3):
-        cols = np.empty((M, n))
-        for i in range(M):
-            K = sg.haar_rotation(n, np.random.default_rng([seed, n, i]))
-            resid = np.max(np.abs(K.T @ K - np.eye(n)))
-            if resid > 1e-10:
-                return False, f"n={n}: orthogonality residual {resid:.2e}"
-            if abs(np.linalg.det(K) - 1.0) > 1e-10:
-                return False, f"n={n}: det != 1"
-            cols[i] = K[:, 0]
-        worst = float(np.max(np.abs(cols.mean(axis=0))))
+        Ks = sg.haar_rotations(n, (np.random.default_rng([seed, n, i]) for i in range(M)))
+        resid = np.max(np.abs(np.swapaxes(Ks, 1, 2) @ Ks - np.eye(n)))
+        if resid > 1e-10:
+            return False, f"n={n}: orthogonality residual {resid:.2e}"
+        if np.max(np.abs(np.linalg.det(Ks) - 1.0)) > 1e-10:
+            return False, f"n={n}: det != 1"
+        worst = float(np.max(np.abs(Ks[:, :, 0].mean(axis=0))))
         if worst > 4.0 / math.sqrt(M):
             return False, f"n={n}: first-column mean {worst:.4f} > 4/sqrt(M)"
     return True, f"residuals <= 1e-10, column means within 4/sqrt({M}) for n = 2, 3"

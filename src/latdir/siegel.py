@@ -3,7 +3,9 @@
 The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
 it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
-stream per sample index so results do not depend on how samples are grouped.
+stream per sample index so results do not depend on how samples are grouped;
+`haar_rotations` draws the M rotations of a pass from their streams in one
+stacked QR, and each sample keeps the bits of its own one-sample draw.
 `spherical_average` and its paired ratio `thm3_ratio` share one driver: it
 stacks the M flowed bases and enumerates them in one chunked pass of
 `lattice.enumerate_stacked`, with no thread pool.  Test functions see each
@@ -15,6 +17,7 @@ exact recheck included.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,23 +145,31 @@ def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     return float(np.sum(f.evaluate(pts, ns, lat.basis[None])))
 
 
-def haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed rotation in SO(n).
+def haar_rotations(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Stack of Haar-distributed rotations in SO(n), the i-th drawn from the
+    i-th generator of the iterable `rngs`.
 
-    QR of a standard normal matrix with the R-diagonal sign convention gives
-    Haar measure on O(n); negating the last column on the det = -1 coset maps
-    it measure-preservingly onto SO(n).
+    Mezzadri's recipe (Notices AMS 54, 2007), vectorised over the stack: QR
+    of each standard normal matrix with the R-diagonal sign convention (a 0
+    takes +1) gives Haar measure on O(n); negating the last column on the
+    det = -1 coset maps it measure-preservingly onto SO(n).  The stacked QR
+    and det act matrix by matrix, so each rotation depends on its own
+    generator only and equals its one-sample `haar_rotation` bit for bit.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    s = np.sign(np.diag(R))
+    Q, R = np.linalg.qr(np.stack([rng.standard_normal((n, n)) for rng in rngs]))
+    s = np.sign(np.diagonal(R, axis1=1, axis2=2))
     s[s == 0.0] = 1.0
-    Q = Q * s[None, :]
-    if np.linalg.det(Q) < 0:
-        Q[:, -1] = -Q[:, -1]
+    Q = Q * s[:, None, :]
+    Q[np.linalg.det(Q) < 0, :, -1] *= -1.0
     return Q
+
+
+def haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed rotation in SO(n) drawn from `rng`: the one-sample
+    call of `haar_rotations`."""
+    return haar_rotations(n, [rng])[0]
 
 
 @dataclass
@@ -176,20 +187,15 @@ class MCEstimate:
                 "t": self.t, "seed": self.seed, "integral_reference": self.integral_reference}
 
 
-def _sample_rotation(seed: int, index: int, n: int) -> np.ndarray:
-    # per-sample stream: identical results for any execution order / sharding
-    rng = np.random.default_rng([seed, index])
-    return haar_rotation(n, rng)
-
-
 def _flowed_blocks(lat: Lattice, t: float, M: int, seed: int, box, budget: int | None = None):
     """Blocks (which, points, coords, bases) of the nonzero points of the M
     flowed lattices g_t k_i Lambda in the padded closed `box`, from one
     chunked pass of `enumerate_stacked` over their stacked bases."""
     if M < 2:
         raise ValueError("need at least 2 samples")
-    g = g_flow(t, lat.dim - 1)
-    bases = np.stack([g @ _sample_rotation(seed, i, lat.dim) @ lat.basis for i in range(M)])
+    # per-sample stream: identical results for any execution order / sharding
+    Ks = haar_rotations(lat.dim, (np.random.default_rng([seed, i]) for i in range(M)))
+    bases = g_flow(t, lat.dim - 1) @ Ks @ lat.basis
     for which, pts, ns in enumerate_stacked(bases, *pad_box(*box), budget=budget):
         yield which, pts, ns, bases
 

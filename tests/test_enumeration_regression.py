@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latdir.lattice import Lattice, RegionSpec, enumerate_in_box, g_flow
-from latdir.siegel import _sample_rotation, thm3_ratio
+from latdir.siegel import haar_rotation, thm3_ratio
 from latdir.sphere import Hemisphere, SignSet
 
 SAMPLES = 32
@@ -51,7 +51,8 @@ def enumeration_digest(d: int, t: float, seed: int) -> str:
     g = g_flow(t, d)
     per_sample = []
     for i in range(SAMPLES):
-        moved = Lattice(g @ _sample_rotation(seed, i, d + 1) @ np.eye(d + 1), check=False)
+        k = haar_rotation(d + 1, np.random.default_rng([seed, i]))
+        moved = Lattice(g @ k @ np.eye(d + 1), check=False)
         _, ns = enumerate_in_box(moved, lo - pad, hi + pad)
         per_sample.append(sorted(map(tuple, ns.tolist())))
     return _digest(per_sample)

@@ -13,8 +13,8 @@ from latdir.lattice import (Lattice, RegionSpec, count_region, g_flow, lattice_f
                             region_volume)
 from latdir.siegel import (BoxIndicator, MCEstimate, RadialIndicator,
                            RegionIndicator, ZeroDenominator,
-                           haar_rotation, siegel_transform, spherical_average,
-                           thm3_ratio)
+                           haar_rotation, haar_rotations, siegel_transform,
+                           spherical_average, thm3_ratio)
 from latdir.sphere import Complement, Hemisphere, SignSet, full_sphere
 
 Z2 = Lattice(np.eye(2))
@@ -107,6 +107,79 @@ def test_haar_rotation_orthogonality_and_det():
             assert abs(np.linalg.det(K) - 1.0) <= 1e-10
     with pytest.raises(ValueError):
         haar_rotation(1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        haar_rotations(0, [np.random.default_rng(0)])
+
+
+def _loop_rotation(n, rng):
+    """The one-matrix draw, QR, sign fix and det of one sample at a time."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.sign(np.diag(R))
+    s[s == 0.0] = 1.0
+    Q = Q * s[None, :]
+    if np.linalg.det(Q) < 0:
+        Q[:, -1] = -Q[:, -1]
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_draw_is_the_one_sample_draw(n):
+    for seed in (0, 11):
+        stacked = haar_rotations(n, (np.random.default_rng([seed, i]) for i in range(500)))
+        assert stacked.shape == (500, n, n)
+        for draw in (haar_rotation, _loop_rotation):
+            one = np.stack([draw(n, np.random.default_rng([seed, i])) for i in range(500)])
+            assert stacked.tobytes() == one.tobytes()
+
+
+class _Fixed:
+    """A generator stand-in whose standard normal draw is a given matrix."""
+
+    def __init__(self, G):
+        self.G = np.array(G, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.G.shape
+        return self.G.copy()
+
+
+# crafted normal matrices -> the rotation they must give: the det = -1 coset
+# (the last column is negated) and a zero R-diagonal entry (its sign is +1)
+CRAFTED = [
+    ([[1.0, 0.0], [0.0, -1.0]], np.eye(2)),
+    ([[2.0, 0.0, 0.0], [0.0, -3.0, 0.0], [0.0, 0.0, 5.0]], np.diag([1.0, -1.0, -1.0])),
+    ([[1.0, 1.0], [0.0, 0.0]], np.eye(2)),
+    ([[-1.0, 1.0], [0.0, 0.0]], -np.eye(2)),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], np.eye(3)),
+    ([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]], np.diag([1.0, -1.0, -1.0])),
+]
+
+
+@pytest.mark.parametrize("G, expected", CRAFTED)
+def test_crafted_normals_hit_the_sign_rules(G, expected):
+    n = len(G)
+    K = haar_rotation(n, _Fixed(G))
+    assert np.array_equal(K, expected)
+    # in a stack among random draws, each rotation is still its own draw
+    rngs = [np.random.default_rng([5, 0]), _Fixed(G), np.random.default_rng([5, 1]), _Fixed(G)]
+    Ks = haar_rotations(n, rngs)
+    assert np.array_equal(Ks[1], expected) and np.array_equal(Ks[3], expected)
+    for i in (0, 2):
+        assert Ks[i].tobytes() == haar_rotation(n, np.random.default_rng([5, i // 2])).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, 6.0, 8.0])
+@pytest.mark.parametrize("x", [(0.3183098861837907,), (0.3, 0.7)])
+def test_flowed_bases_are_the_per_sample_products(t, x):
+    lat = lattice_from_x(x)
+    assert not np.array_equal(lat.basis, np.eye(lat.dim))
+    M, seed = 16, 4
+    g = g_flow(t, lat.dim - 1)
+    expected = np.stack([g @ haar_rotation(lat.dim, np.random.default_rng([seed, i])) @ lat.basis
+                         for i in range(M)])
+    box = (np.full(lat.dim, -2.0), np.full(lat.dim, 2.0))
+    _, _, _, bases = next(sg._flowed_blocks(lat, t, M, seed, box))
+    assert bases.tobytes() == expected.tobytes()
 
 
 def test_haar_first_column_statistics():
@@ -146,8 +219,9 @@ def test_spherical_average_converges_to_integral_d1():
 
 
 def test_mc_estimate_validation():
-    with pytest.raises(ValueError):
-        spherical_average(RadialIndicator(0.1, 0.5, 2), Z2, t=0.0, M=1, seed=0)
+    for M in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            spherical_average(RadialIndicator(0.1, 0.5, 2), Z2, t=0.0, M=M, seed=0)
 
 
 # -- paired ratio -----------------------------------------------------------------
@@ -190,7 +264,8 @@ def test_ratio_zero_denominator():
 def _flowed(lat, t, M, seed):
     """Each sample's own flowed lattice g_t k_i Lambda, one at a time."""
     g = g_flow(t, lat.dim - 1)
-    return [Lattice(g @ sg._sample_rotation(seed, i, lat.dim) @ lat.basis, check=False)
+    return [Lattice(g @ haar_rotation(lat.dim, np.random.default_rng([seed, i])) @ lat.basis,
+                    check=False)
             for i in range(M)]
 
 
