@@ -238,7 +238,7 @@ def check_spherical_averages(seed: int = SEED_MC) -> tuple[bool, str]:
 def check_haar_sampler(seed: int = SEED_HAAR) -> tuple[bool, str]:
     M = 10_000
     for n in (2, 3):
-        Ks = sg.haar_rotations(n, (np.random.default_rng([seed, n, i]) for i in range(M)))
+        Ks = sg.haar_rotations(n, sg.rng_streams([seed, n], M))
         resid = np.max(np.abs(np.swapaxes(Ks, 1, 2) @ Ks - np.eye(n)))
         if resid > 1e-10:
             return False, f"n={n}: orthogonality residual {resid:.2e}"

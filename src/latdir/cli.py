@@ -199,6 +199,17 @@ def verify(quick: bool, seed: int | None, out: str | None) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
 
 
+def _seed(text: str) -> int:
+    """A `--seed`: numpy's seed streams take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="latdir",
                                  description="Direction statistics of Dirichlet approximates and lattice points")
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--c", type=float, help="thinning constant")
     runp.add_argument("--C", type=float, help="Dirichlet constant (0 = default)")
     runp.add_argument("--x", type=float, help="explicit target (birkhoff/nonminimal)")
-    runp.add_argument("--seed", type=int)
+    runp.add_argument("--seed", type=_seed)
     runp.add_argument("--threads", type=int, help="must be 1: sampling is batched, not threaded")
     runp.add_argument("--budget", type=int,
                       help="candidate budget of thm3 only (env LATDIR_BUDGET sets it for every experiment)")
@@ -228,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("--quick", action="store_true", help="skip the slow statistical criteria and the level-9 census")
-    verp.add_argument("--seed", type=int, default=None, help="override the pinned per-criterion seeds")
+    verp.add_argument("--seed", type=_seed, default=None, help="override the pinned per-criterion seeds")
     verp.add_argument("--out", default=None, help="write verify-report.json here")
     return ap
 

@@ -267,23 +267,26 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
     """Exact unimodular U, a (K, n, n) int64 stack, with every A[k] U[k]
     LLL-reduced (delta = 3/4), in one vectorised pass over the stack.
 
-    Each round recomputes A U for the bases still active, takes one stacked
-    QR, size-reduces every column on R (the same column operations on R and
-    U), and swaps the pair at the first Lovasz violation; a basis without
-    one is done.  Gram-Schmidt runs in floats but U stays exact, so a float
-    slip leaves A U less reduced, which costs candidates, never points; a
-    basis still active after LLL_STEP_CAP rounds keeps its partly reduced U.
+    Each round recomputes A U for the bases still active, takes R from one
+    stacked Gram-Schmidt (`_gram_schmidt_r`), size-reduces every column on
+    R (the same column operations on R and U), and swaps the pair at the
+    first Lovasz violation; a basis without one is done.  Gram-Schmidt runs
+    in floats but U stays exact, so a float slip leaves A U less reduced,
+    which costs candidates, never points; a basis still active after
+    LLL_STEP_CAP rounds keeps its partly reduced U.  One stacked exact
+    determinant (`_int_dets`) then checks that every U is unimodular.
     """
     K, n = A.shape[:2]
     U = np.broadcast_to(np.eye(n, dtype=np.int64), (K, n, n)).copy()
     active = np.arange(K)
+    above = (slice(None), np.arange(n - 1), np.arange(1, n))  # R[k-1, k]
     for _ in range(LLL_STEP_CAP):
         if not len(active):
             break
         Ua = U[active]
-        R = np.linalg.qr(A[active] @ Ua, mode="r")
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        if not np.all((diag > 0.0) & (diag < math.inf)):
+        R = _gram_schmidt_r(A[active] @ Ua)
+        diag = np.diagonal(R, axis1=1, axis2=2)  # size reduction leaves it as it is
+        if not (diag.min() > 0.0 and diag.max() < math.inf):  # a NaN fails both
             raise CandidateBudgetExceeded("degenerate basis: linearly dependent or non-finite columns")
         for j in range(1, n):
             for i in range(j - 1, -1, -1):
@@ -295,39 +298,58 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
                     raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
                 R[:, :i + 1, j] -= q[:, None] * R[:, :i + 1, i]
                 Ua[:, :, j] -= q.astype(np.int64)[:, None] * Ua[:, :, i]
-        r2 = np.diagonal(R, axis1=1, axis2=2) ** 2
-        above2 = R[:, np.arange(n - 1), np.arange(1, n)] ** 2  # R[k-1, k]^2
-        bad = r2[:, 1:] + above2 < LLL_DELTA * r2[:, :-1]
+        r2 = diag**2
+        bad = r2[:, 1:] + R[above] ** 2 < LLL_DELTA * r2[:, :-1]
         swap = np.flatnonzero(bad.any(axis=1))
         k = bad[swap].argmax(axis=1)  # first violating pair (k, k + 1)
         Ua[swap, :, k], Ua[swap, :, k + 1] = Ua[swap, :, k + 1], Ua[swap, :, k]
         U[active] = Ua
         active = active[swap]
-    for u in U:
-        _require_unimodular(u.tolist())
+    if np.any(np.abs(_int_dets(U)) != 1):
+        raise ArithmeticError("basis reduction produced a non-unimodular transform")
     return U
 
 
-def _require_unimodular(u: list[list[int]]):
-    if abs(_int_det(u)) != 1:
-        raise ArithmeticError("basis reduction produced a non-unimodular transform")
+def _gram_schmidt_r(A: np.ndarray) -> np.ndarray:
+    """R of A = Q R for a (K, n, n) stack, by modified Gram-Schmidt over the
+    columns: R_ii >= 0 is the norm of column i once the earlier directions
+    are projected out.  Its R is as accurate as Householder's (Bjorck, BIT 7,
+    1967); only Q loses orthogonality, and Q is not formed.  A column that
+    projects to 0, or a non-finite one, leaves a 0, NaN or inf on R's diagonal."""
+    V = A.copy()
+    R = np.zeros_like(V)
+    n = V.shape[2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(n):
+            R[:, i, i] = r = np.sqrt(np.einsum("kr,kr->k", V[:, :, i], V[:, :, i]))
+            if i + 1 < n:
+                q = V[:, :, i] / r[:, None]
+                R[:, i, i + 1:] = np.einsum("kr,krj->kj", q, V[:, :, i + 1:])
+                V[:, :, i + 1:] -= q[:, :, None] * R[:, i, None, i + 1:]
+    return R
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n, sign, prev = len(a), 1, 1
+def _int_dets(U: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (K, n, n) stack of integer matrices, by one
+    fraction-free (Bareiss) elimination over the stack in Python integers;
+    a matrix whose pivot is 0 swaps up the first nonzero row below it."""
+    a = np.array(U, dtype=object)
+    K, n = a.shape[:2]
+    sign, prev = np.ones(K, dtype=np.int64), 1
     for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev  # exact division
-        prev = a[k][k]
-    return sign * a[-1][-1]
+        zero = np.flatnonzero(a[:, k, k] == 0)
+        if len(zero):
+            rows = k + (a[zero, k:, k] != 0).argmax(axis=1)  # k again if the column is 0 ...
+            a[zero, k], a[zero, rows] = a[zero, rows], a[zero, k]
+            sign[zero[rows != k]] *= -1
+            dead = zero[rows == k]  # ... and then the determinant is 0
+            sign[dead] = 0
+            a[dead, k, k] = 1  # a nonzero pivot keeps the divisions below defined
+        pivot = a[:, k, k, None, None]
+        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * pivot
+                                - a[:, k + 1:, k, None] * a[:, k, None, k + 1:]) // prev  # exact
+        prev = pivot
+    return sign * a[:, -1, -1]
 
 
 def _int_bounds(lo: np.ndarray, hi: np.ndarray):

@@ -3,9 +3,11 @@
 The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
 it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
-stream per sample index so results do not depend on how samples are grouped;
-`haar_rotations` draws the M rotations of a pass from their streams in one
-stacked QR, and each sample keeps the bits of its own one-sample draw.
+stream per sample index, `default_rng([*prefix, i])`, so results do not
+depend on how samples are grouped.  `rng_streams` builds the M generators of
+a pass with numpy's seed hash run once over the stacked indices, and
+`haar_rotations` draws their rotations in one stacked QR; each sample keeps
+the bits of its own one-sample draw.
 `spherical_average` and its paired ratio `thm3_ratio` share one driver: it
 stacks the M flowed bases and enumerates them in one chunked pass of
 `lattice.enumerate_stacked`, with no thread pool.  Test functions see each
@@ -17,6 +19,7 @@ exact recheck included.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -145,6 +148,69 @@ def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     return float(np.sum(f.evaluate(pts, ns, lat.basis[None])))
 
 
+MASK32 = 0xFFFFFFFF
+
+
+def _seed_hash(h: int, mult: int):
+    """numpy's SeedSequence hash over uint32 arrays: each call xors with the
+    running constant h, steps h to h * mult and multiplies by it."""
+    def step(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+    return step
+
+
+def rng_streams(prefix, M: int) -> list:
+    """The generators `np.random.default_rng([*prefix, i])` for i < M, bit
+    for bit, for non-negative integers `prefix`.
+
+    numpy's SeedSequence (a pool of 4 words, then `generate_state(4, uint64)`
+    for PCG64) hashes the seed's 32-bit words with constants that do not
+    depend on the data, so it runs here once over uint32 arrays, one lane a
+    sample, and each sample's four state words seed its PCG64 directly.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 words only
+
+    entropy = []
+    for v in prefix:  # each entry's 32-bit words, low first, as numpy splits it
+        v = operator.index(v)
+        if v < 0:
+            raise ValueError(f"seed entries must be non-negative, got {v}")
+        entropy.append(np.full(M, v & MASK32, dtype=np.uint32))
+        while v := v >> 32:
+            entropy.append(np.full(M, v & MASK32, dtype=np.uint32))
+    entropy.append(np.arange(M, dtype=np.uint32))  # i < M < 2^32 is one word
+
+    def mix(x, y):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ (r >> np.uint32(16))
+
+    hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(M, dtype=np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _seed_hash(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([out(pool[k % 4]) for k in range(8)], axis=1)  # (M, 8) uint32
+    return [Generator(PCG64(Words(w))) for w in state.view("<u8").astype(np.uint64)]
+
+
 def haar_rotations(n: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """Stack of Haar-distributed rotations in SO(n), the i-th drawn from the
     i-th generator of the iterable `rngs`.
@@ -194,7 +260,7 @@ def _flowed_blocks(lat: Lattice, t: float, M: int, seed: int, box, budget: int |
     if M < 2:
         raise ValueError("need at least 2 samples")
     # per-sample stream: identical results for any execution order / sharding
-    Ks = haar_rotations(lat.dim, (np.random.default_rng([seed, i]) for i in range(M)))
+    Ks = haar_rotations(lat.dim, rng_streams([seed], M))
     bases = g_flow(t, lat.dim - 1) @ Ks @ lat.basis
     for which, pts, ns in enumerate_stacked(bases, *pad_box(*box), budget=budget):
         yield which, pts, ns, bases

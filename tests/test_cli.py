@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,25 @@ def test_unknown_experiment_is_usage_error():
     with pytest.raises(SystemExit) as e:
         cli.main(["run", "telepathy"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["run", "thm3", "--d", "1", "--M", "4"], ["verify", "--quick"]])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # rejected before anything runs or is written
+    with pytest.raises(SystemExit) as e:
+        cli.main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 18 ms to every start-up; the seed streams load it on use
+    code = "import sys, latdir.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_reports_reproducible_modulo_timestamp(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latdir import lattice as lm
@@ -403,7 +403,7 @@ def test_capped_reduction_keeps_every_point(size, monkeypatch):
 
 @pytest.mark.parametrize("size", [1, BIG_STACK])
 def test_non_unimodular_transform_raises_arithmetic_error(size, monkeypatch):
-    monkeypatch.setattr(lm, "_int_det", lambda rows: 2)
+    monkeypatch.setattr(lm, "_int_dets", lambda U: np.full(len(U), 2, dtype=object))
     with pytest.raises(ArithmeticError, match="non-unimodular"):
         next(lm.enumerate_stacked(np.array([np.eye(2)] * size), [-1.5, -1.5], [1.5, 1.5]))
 
@@ -415,12 +415,39 @@ def _cofactor_det(rows):
                for j, a in enumerate(rows[0]) if a)
 
 
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
+def _int_matrices(n):
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(_int_matrices(n), min_size=1, max_size=6)))
+@example([[[0, 1], [1, 0]], [[2, 3], [4, 6]], [[0, 0], [5, 7]]])  # swap, singular, zero column
+@example([[[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
+          [[10**30, 1, 0], [0, 0, 1], [1, 0, 0]]])  # two swaps, zero pivot late, big entries
 @settings(max_examples=100, deadline=None)
-def test_int_det_matches_cofactor_expansion(rows):
-    assert lm._int_det(rows) == _cofactor_det(rows)
+def test_int_det_matches_cofactor_expansion(stack):
+    # the stacked Bareiss determinant, matrix by matrix, with per-matrix pivot swaps
+    dets = lm._int_dets(np.array(stack, dtype=object))
+    assert dets.tolist() == [_cofactor_det(rows) for rows in stack]
+
+
+def _assert_r_matches_householder(A):
+    R = lm._gram_schmidt_r(A)
+    ref = np.abs(np.linalg.qr(A, mode="r"))
+    tol = 1e-14 * np.linalg.norm(A, axis=1)[:, None, :]  # relative to each column's norm
+    assert np.all(np.diagonal(R, axis1=1, axis2=2) >= 0.0)
+    assert np.all(np.abs(np.abs(R) - ref) <= tol)
+
+
+def test_gram_schmidt_r_matches_householder_qr():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        _assert_r_matches_householder(rng.standard_normal((50, n, n)))
+    for d, t in [(1, 6.0), (2, 6.0), (2, 12.0), (3, 8.0)]:  # condition numbers up to e^36
+        ks = np.stack([haar_rotation(d + 1, rng) for _ in range(50)])
+        _assert_r_matches_householder(g_flow(t, d) @ ks)
+    # the DEGENERATE bases (which must still raise, see the tests above) too
+    _assert_r_matches_householder(np.array([B for B in DEGENERATE if np.all(np.isfinite(B))]))
 
 
 def test_stacked_expands_a_large_box_in_slices():

@@ -132,6 +132,39 @@ def test_stacked_draw_is_the_one_sample_draw(n):
             assert stacked.tobytes() == one.tobytes()
 
 
+# edges of numpy's split of a seed entry into 32-bit words: 0 and 2^32 - 1 are one word, 2^32 and 2^40 + 7 two
+WORD_EDGES = [0, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+@given(st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**100)), max_size=5),
+       st.integers(0, 40))
+@example([0], 0)
+@example([2**32 - 1], 0)
+@example([2**32], 3)
+@example([2**40 + 7], 7)
+@example([17, 3], 0)  # [seed, n], as criterion 10 draws
+@settings(max_examples=60, deadline=None)
+def test_rng_streams_are_the_default_rng_streams(prefix, i):
+    gen = sg.rng_streams(prefix, i + 1)[i]
+    ref = np.random.default_rng([*prefix, i])
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert gen.standard_normal((4, 4)).tobytes() == ref.standard_normal((4, 4)).tobytes()
+
+
+@pytest.mark.parametrize("prefix", [[3], [17, 3]])
+def test_rng_streams_draw_every_sample_as_its_own_stream(prefix):
+    M = 300
+    Ks = haar_rotations(3, sg.rng_streams(prefix, M))
+    one = haar_rotations(3, (np.random.default_rng([*prefix, i]) for i in range(M)))
+    assert Ks.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("prefix", [[-1], [4, -2]])
+def test_rng_streams_reject_negative_entries(prefix):
+    with pytest.raises(ValueError, match="non-negative"):
+        sg.rng_streams(prefix, 3)
+
+
 class _Fixed:
     """A generator stand-in whose standard normal draw is a given matrix."""
 
