@@ -5,7 +5,8 @@ approach the plain integral of the test function.
 The limit statement carries no rate, so this script just reports the t-grid:
 for each t it prints the Monte Carlo mean, its standard error, and the target
 integral, for both a box indicator and the thinning-region indicator whose
-average feeds the direction-ratio experiments.
+average feeds the direction-ratio experiments.  Both are read off one Monte
+Carlo pass per t, so each rotation is drawn and reduced once.
 
 Usage: python scripts/tgrid_convergence.py [--d 2] [--M 800] [--seed 3]
 """
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from latdir.lattice import Lattice, RegionSpec
-from latdir.siegel import BoxIndicator, RegionIndicator, spherical_average
+from latdir.siegel import BoxIndicator, RegionIndicator, spherical_averages
 from latdir.sphere import Hemisphere, SignSet
 
 
@@ -40,8 +41,7 @@ def main() -> None:
     print(f"{'t':>5}  {'box mean':>9} {'se':>6}  {'region mean':>11} {'se':>6}"
           f"  targets: box {box.integral():.4f}, region {region.integral():.4f}")
     for t in ts:
-        eb = spherical_average(box, lat, t, args.M, args.seed)
-        er = spherical_average(region, lat, t, args.M, args.seed)
+        eb, er = spherical_averages([box, region], lat, t, args.M, args.seed)
         print(f"{t:5.1f}  {eb.mean:9.4f} {eb.stderr:6.3f}  {er.mean:11.4f} {er.stderr:6.3f}")
     print("\nthe means should settle on the targets as t grows; no rate is claimed")
 

@@ -12,7 +12,7 @@ from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
                       g_flow, lattice_from_x, region_volume, shell_count)
 from .siegel import (BoxIndicator, MCEstimate, RadialIndicator, RegionIndicator,
                      haar_rotation, siegel_transform, spherical_average,
-                     thm3_ratio)
+                     spherical_averages, thm3_ratio)
 from .sphere import (Cap, Complement, DirectionSet, FullSphere, Hemisphere,
                      SignSet, ball_volume, full_sphere)
 

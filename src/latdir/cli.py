@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError("--c must be positive")
         if self.C < 0.0:
             raise ValueError("--C must be positive, or 0 for the default")
+        if self.budget < 0:
+            raise ValueError("--budget must be positive, or 0 for the default")
         if self.budget and self.experiment != "thm3":
             raise ValueError("--budget is for thm3 only; LATDIR_BUDGET caps every experiment")
         if self.threads != 1:

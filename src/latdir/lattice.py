@@ -15,8 +15,8 @@ LLL-reduces the basis in the metric of its box first and scans a plain
 integer box in the reduced coordinates, so its cost does not grow with the
 condition number of a flowed basis g_t k B.  It takes a whole stack of bases,
 reduces it in one vectorised LLL pass, and walks the candidates of all their
-boxes in fixed-size chunks, so `siegel.thm3_ratio` counts all its Monte Carlo
-samples in one pass.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
+boxes in fixed-size chunks, so one `siegel` Monte Carlo pass counts all its
+samples at once.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
 approximates and region counts) go through the same enumerator: the
 q-window is cut into geometric shells, and each shell, flowed by g_s, fills
 one fixed box (Dani's correspondence), so a count up to T is one stack of

@@ -2,18 +2,17 @@
 
 The estimator of interest is the rotation average of a Siegel transform,
 (1/M) sum_i f^(g_t k_i Lambda) over Haar-random k_i in SO(d+1); as t grows
-it converges to the plain Lebesgue integral of f.  Sampling uses one RNG
-stream per sample index, `default_rng([*prefix, i])`, so results do not
-depend on how samples are grouped.  `rng_streams` builds the M generators of
-a pass with numpy's seed hash run once over the stacked indices, and
-`haar_rotations` draws their rotations in one stacked QR; each sample keeps
-the bits of its own one-sample draw.
-`spherical_average` and its paired ratio `thm3_ratio` share one driver: it
-stacks the M flowed bases and enumerates them in one chunked pass of
-`lattice.enumerate_stacked`, with no thread pool.  Test functions see each
-point's integer coordinates and basis, so the thinning-region indicator
-decides its points with the lattice counting predicate `lattice._classify`,
-exact recheck included.
+it converges to the plain Lebesgue integral of f.  Each sample has its own
+RNG stream `default_rng([seed, i])`, built for all i at once by
+`rng_streams`, and `haar_rotations` draws the M rotations in one stacked QR,
+each with the bits of its own one-sample draw.  One driver flows them,
+enumerates the hull of the test functions' support boxes in one chunked pass
+of `lattice.enumerate_stacked` and sums each function per sample:
+`spherical_averages` reads several functions off one pass, `spherical_average`
+is its one-function call and `thm3_ratio` the paired read of the region
+indicator with and without A.  The region indicator decides its points with
+`lattice._classify` from their integer coordinates and bases, exact recheck
+included.
 """
 
 from __future__ import annotations
@@ -76,9 +75,7 @@ class BoxIndicator(TestFunction):
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
     def evaluate(self, points, coords=None, bases=None, which=None):
-        lo, hi = self.support_box()
-        ok = np.all(points >= lo[None, :], axis=1) & np.all(points <= hi[None, :], axis=1)
-        return ok.astype(float)
+        return np.all((points >= self.lo) & (points <= self.hi), axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,7 @@ class RadialIndicator(TestFunction):
             raise ValueError("need 0 <= r_min <= r_max")
 
     def support_box(self):
-        r = self.r_max
-        return np.full(self.dim, -r), np.full(self.dim, r)
+        return np.full(self.dim, -self.r_max), np.full(self.dim, self.r_max)
 
     def integral(self) -> float:
         from .sphere import ball_volume
@@ -143,8 +139,6 @@ class RegionIndicator(TestFunction):
 def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     """Sum of f over the nonzero lattice points."""
     pts, ns = enumerate_in_box(lat, *pad_box(*f.support_box()))
-    if not len(pts):
-        return 0.0
     return float(np.sum(f.evaluate(pts, ns, lat.basis[None])))
 
 
@@ -253,42 +247,52 @@ class MCEstimate:
                 "t": self.t, "seed": self.seed, "integral_reference": self.integral_reference}
 
 
-def _flowed_blocks(lat: Lattice, t: float, M: int, seed: int, box, budget: int | None = None):
-    """Blocks (which, points, coords, bases) of the nonzero points of the M
-    flowed lattices g_t k_i Lambda in the padded closed `box`, from one
-    chunked pass of `enumerate_stacked` over their stacked bases."""
+def _sample_sums(fs: list, lat: Lattice, t: float, M: int, seed: int, budget=None) -> np.ndarray:
+    """(len(fs), M) sums of each f over the nonzero points of each flowed
+    lattice g_t k_i Lambda, from one pass over the hull of the padded support
+    boxes.  A point is n @ B.T on its own flowed basis whatever the box, so
+    each f sees the bits of its own pass, and it is 0 off its own box."""
     if M < 2:
         raise ValueError("need at least 2 samples")
-    # per-sample stream: identical results for any execution order / sharding
+    if not fs or any(f.dim != lat.dim for f in fs):
+        raise ValueError("need one or more test functions of the lattice's dimension")
+    boxes = np.array([pad_box(*f.support_box()) for f in fs])  # (len(fs), 2, n)
+    lo, hi = boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)
     Ks = haar_rotations(lat.dim, rng_streams([seed], M))
     bases = g_flow(t, lat.dim - 1) @ Ks @ lat.basis
-    for which, pts, ns in enumerate_stacked(bases, *pad_box(*box), budget=budget):
-        yield which, pts, ns, bases
+    sums = np.zeros((len(fs), M))
+    for which, pts, ns in enumerate_stacked(bases, lo, hi, budget=budget):
+        for f, row in zip(fs, sums):
+            row += np.bincount(which, weights=f.evaluate(pts, ns, bases, which), minlength=M)
+    return sums
 
 
-def _estimate(vals: np.ndarray, t: float, seed: int, reference: float, keep_trace: bool) -> MCEstimate:
+def _estimate(f: TestFunction, vals: np.ndarray, t: float, seed: int, keep_trace: bool) -> MCEstimate:
     M = len(vals)
     return MCEstimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(M)), M, t, seed,
-                      reference, vals.tolist() if keep_trace else None)
+                      f.integral(), vals.tolist() if keep_trace else None)
+
+
+def spherical_averages(fs: list, lat: Lattice, t: float, M: int, seed: int,
+                       *, keep_trace: bool = False) -> list[MCEstimate]:
+    """Monte Carlo estimates of the K-averages of f^(g_t k Lambda), one per
+    f of `fs`, from one pass: each rotation is drawn, flowed and reduced once.
+
+    Each sample's sum of f is a bincount of the points' sample indices (a
+    sample without points counts 0), equal to f's own one-function pass.  The
+    points held at once are set by the enumeration chunk, not by M.  The cost
+    stays flat in t until the condition number e^{(d+1)t} nears 1/machine
+    epsilon and the rounding margin widens the box; a box past the candidate
+    budget raises CandidateBudgetExceeded instead of silently truncating.
+    """
+    sums = _sample_sums(fs, lat, t, M, seed)
+    return [_estimate(f, vals, t, seed, keep_trace) for f, vals in zip(fs, sums)]
 
 
 def spherical_average(f: TestFunction, lat: Lattice, t: float, M: int, seed: int,
                       *, keep_trace: bool = False) -> MCEstimate:
-    """Monte Carlo estimate of the K-average of f^(g_t k Lambda).
-
-    The M flowed bases are stacked and enumerated in one chunked pass over
-    f's padded support box; each sample's sum of f is a bincount of the
-    points' sample indices, so a sample without points counts 0.  The points
-    held at once are set by the enumeration chunk, not by M.  Reducing each
-    flowed basis keeps the cost flat in t until the condition number
-    e^{(d+1)t} nears 1/machine-epsilon and the rounding margin widens the
-    box.  The candidate budget applies per box: one past it raises
-    CandidateBudgetExceeded instead of silently truncating.
-    """
-    sums = np.zeros(M)
-    for which, pts, ns, bases in _flowed_blocks(lat, t, M, seed, f.support_box()):
-        sums += np.bincount(which, weights=f.evaluate(pts, ns, bases, which), minlength=M)
-    return _estimate(sums, t, seed, f.integral(), keep_trace)
+    """The one-function call of `spherical_averages`."""
+    return spherical_averages([f], lat, t, M, seed, keep_trace=keep_trace)[0]
 
 
 @dataclass
@@ -310,24 +314,18 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
                keep_trace: bool = False) -> RatioEstimate:
     """Paired estimate of the direction-restricted count fraction.
 
-    Numerator and denominator share every rotation sample: both are read off
-    one region count of the flowed lattice g_t k_i Lambda (in_A over total),
+    Numerator and denominator are the averages of the region indicator with
+    A and without it, read off one pass, so they share every rotation sample,
     which kills most of the variance of the ratio; the error bar is the
-    delta-method expansion.  The samples come from the driver of
-    `spherical_average`, so each sample's counts equal `count_region` on its
+    delta-method expansion.  Each sample's counts equal `count_region` on its
     own lattice; `budget` caps each sample's box.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    d = lat.dim - 1
-    spec = RegionSpec("R", d, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
-    xs, ys = np.zeros(M), np.zeros(M)
-    for which, pts, ns, bases in _flowed_blocks(lat, t, M, seed, spec.bounding_box(), budget):
-        ok, _, in_A = _classify(pts, spec, ns, bases, which)
-        xs += np.bincount(which[in_A], minlength=M)
-        ys += np.bincount(which[ok], minlength=M)
-    num = _estimate(xs, t, seed, region_volume(spec), keep_trace)
-    den = _estimate(ys, t, seed, region_volume(replace(spec, A=None)), keep_trace)
+    spec = RegionSpec("R", lat.dim - 1, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
+    fs = [RegionIndicator(spec), RegionIndicator(replace(spec, A=None))]
+    xs, ys = _sample_sums(fs, lat, t, M, seed, budget)
+    num, den = (_estimate(f, vals, t, seed, keep_trace) for f, vals in zip(fs, (xs, ys)))
     if den.mean == 0.0:
         raise ZeroDenominator("no lattice points hit the region; increase t or M")
     ratio = num.mean / den.mean

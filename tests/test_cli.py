@@ -181,7 +181,8 @@ def test_config_error_exits_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["thm1", "--T", "inf"], ["nonminimal", "--d", "2", "--T", "inf"], ["thm3", "--t", "nan"],
     ["birkhoff", "--c", "-1"], ["thm3", "--c", "-2"], ["birkhoff", "--c", "0"], ["thm3", "--c", "nan"],
-    ["nonminimal", "--d", "2", "--C", "-1"], ["thm1", "--C", "inf"], ["birkhoff", "--x", "nan"]])
+    ["nonminimal", "--d", "2", "--C", "-1"], ["thm1", "--C", "inf"], ["birkhoff", "--x", "nan"],
+    ["thm3", "--d", "1", "--M", "10", "--t", "1", "--budget", "-5"]])
 def test_bad_constants_are_config_errors(tmp_path, capsys, argv):
     # these used to crash, exit 3, or run with a constant other than the one reported
     assert cli.main(["run", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG

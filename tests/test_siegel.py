@@ -14,7 +14,7 @@ from latdir.lattice import (Lattice, RegionSpec, count_region, g_flow, lattice_f
 from latdir.siegel import (BoxIndicator, MCEstimate, RadialIndicator,
                            RegionIndicator, ZeroDenominator,
                            haar_rotation, haar_rotations, siegel_transform,
-                           spherical_average, thm3_ratio)
+                           spherical_average, spherical_averages, thm3_ratio)
 from latdir.sphere import Complement, Hemisphere, SignSet, full_sphere
 
 Z2 = Lattice(np.eye(2))
@@ -210,9 +210,15 @@ def test_flowed_bases_are_the_per_sample_products(t, x):
     g = g_flow(t, lat.dim - 1)
     expected = np.stack([g @ haar_rotation(lat.dim, np.random.default_rng([seed, i])) @ lat.basis
                          for i in range(M)])
-    box = (np.full(lat.dim, -2.0), np.full(lat.dim, 2.0))
-    _, _, _, bases = next(sg._flowed_blocks(lat, t, M, seed, box))
-    assert bases.tobytes() == expected.tobytes()
+    seen = []
+
+    class Recorder(BoxIndicator):
+        def evaluate(self, points, coords=None, bases=None, which=None):
+            seen.append(bases)
+            return super().evaluate(points, coords, bases, which)
+
+    spherical_averages([Recorder((-2.0,) * lat.dim, (2.0,) * lat.dim)], lat, t, M, seed)
+    assert seen and all(bases.tobytes() == expected.tobytes() for bases in seen)
 
 
 def test_haar_first_column_statistics():
@@ -252,9 +258,53 @@ def test_spherical_average_converges_to_integral_d1():
 
 
 def test_mc_estimate_validation():
-    for M in (0, 1):
+    f = RadialIndicator(0.1, 0.5, 2)
+    for M in (0, 1, -1):
         with pytest.raises(ValueError, match="at least 2 samples"):
-            spherical_average(RadialIndicator(0.1, 0.5, 2), Z2, t=0.0, M=M, seed=0)
+            spherical_average(f, Z2, t=0.0, M=M, seed=0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            spherical_averages([f, f], Z2, t=0.0, M=M, seed=0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.1, t=2.0, M=M, seed=0)
+
+
+@pytest.mark.parametrize("fs", [[], [RadialIndicator(0.1, 0.5, 3)],
+                                [BoxIndicator((0.0, 0.0), (1.0, 1.0)), RadialIndicator(0.1, 0.5, 3)]])
+def test_spherical_averages_reject_before_drawing(monkeypatch, fs):
+    def no_draw(*args):
+        raise AssertionError("a rotation was drawn")
+    monkeypatch.setattr(sg, "rng_streams", no_draw)
+    with pytest.raises(ValueError, match="test functions of the lattice's dimension"):
+        spherical_averages(fs, Z2, t=1.0, M=8, seed=0)
+
+
+@pytest.mark.parametrize("t", [0.0, 2.0, 5.0])
+def test_mirrored_box_has_the_same_trace(t):
+    # v -> -v maps every lattice onto itself, so f(v) and f(-v) sum alike
+    lo, hi = (-0.3, 0.2, 0.1), (0.9, 1.1, 0.8)
+    box, mirror = BoxIndicator(lo, hi), BoxIndicator(tuple(-v for v in hi), tuple(-v for v in lo))
+    a, b = spherical_averages([box, mirror], Z3, t, 300, 5, keep_trace=True)
+    assert a.values == b.values and a.mean == b.mean
+    assert sum(a.values) > 0
+
+
+def _region(d, eps=0.1):
+    A = SignSet(frozenset({-1})) if d == 1 else Hemisphere((1.0,) + (0.0,) * (d - 1))
+    return RegionIndicator(RegionSpec("R", d, T=1.0, c=1.0, eps=eps, A=A))
+
+
+@pytest.mark.parametrize("fs, t", [
+    ([_region(1), BoxIndicator((-0.7, 0.2), (0.7, 0.9))], 4.0),
+    ([_region(2), BoxIndicator((-0.7, -0.7, 0.2), (0.7, 0.7, 0.9))], 3.0),
+    ([RadialIndicator(0.2, 1.5, 3), BoxIndicator((-0.5, -0.5, 0.1), (0.5, 0.5, 0.6))], 2.0),
+])
+def test_each_function_of_a_pass_reads_its_own_pass(fs, t):
+    lat = Lattice(np.eye(fs[0].dim))
+    joint = spherical_averages(fs, lat, t, 200, 7, keep_trace=True)
+    for f, est in zip(fs, joint):
+        alone = spherical_average(f, lat, t, 200, 7, keep_trace=True)
+        assert est.values == alone.values and est.to_obj() == alone.to_obj()
+    assert sum(joint[1].values) > 0
 
 
 # -- paired ratio -----------------------------------------------------------------
