@@ -75,7 +75,9 @@ class BoxIndicator(TestFunction):
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
     def evaluate(self, points, coords=None, bases=None, which=None):
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1).astype(float)
+        lo, hi = self.support_box()
+        ok = np.all(points >= lo[None, :], axis=1) & np.all(points <= hi[None, :], axis=1)
+        return ok.astype(float)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class RadialIndicator(TestFunction):
             raise ValueError("need 0 <= r_min <= r_max")
 
     def support_box(self):
-        return np.full(self.dim, -self.r_max), np.full(self.dim, self.r_max)
+        r = self.r_max
+        return np.full(self.dim, -r), np.full(self.dim, r)
 
     def integral(self) -> float:
         from .sphere import ball_volume
@@ -139,6 +142,8 @@ class RegionIndicator(TestFunction):
 def siegel_transform(f: TestFunction, lat: Lattice) -> float:
     """Sum of f over the nonzero lattice points."""
     pts, ns = enumerate_in_box(lat, *pad_box(*f.support_box()))
+    if not len(pts):
+        return 0.0
     return float(np.sum(f.evaluate(pts, ns, lat.basis[None])))
 
 
@@ -320,8 +325,6 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     delta-method expansion.  Each sample's counts equal `count_region` on its
     own lattice; `budget` caps each sample's box.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     spec = RegionSpec("R", lat.dim - 1, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
     fs = [RegionIndicator(spec), RegionIndicator(replace(spec, A=None))]
     xs, ys = _sample_sums(fs, lat, t, M, seed, budget)

@@ -340,8 +340,9 @@ def test_thm3_ratio_needs_two_samples(M):
 def test_ratio_zero_denominator():
     with pytest.raises(ZeroDenominator):
         thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.97, t=0.05, M=4, seed=0)
-    with pytest.raises(ValueError):
-        thm3_ratio(Z2, SignSet(frozenset({-1})), eps=0.0, t=1.0, M=4, seed=0)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            thm3_ratio(Z2, SignSet(frozenset({-1})), eps=eps, t=1.0, M=4, seed=0)
 
 
 def _flowed(lat, t, M, seed):
