@@ -90,6 +90,7 @@ class RunConfig:
             raise ValueError(f"{self.experiment} has one real target: --d must be 1")
         if self.experiment == "thm3" and float(Fraction(self.eps)) <= 0.0:
             raise ValueError("thm3 needs eps > 0 (eps = 0 makes the region unbounded)")
+        lm.default_budget()  # a bad LATDIR_BUDGET fails here, before any work
 
 
 def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str):

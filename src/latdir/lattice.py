@@ -11,10 +11,11 @@ enumerator and then filtered by the one region predicate, `_classify`, which
 re-decides points grazing the scalar boundary in exact rationals from their
 integer coordinates and the basis.  Lattice counts here and the Siegel
 transforms of `siegel.RegionIndicator` both go through it.  The enumerator
-LLL-reduces the basis in the metric of its box first and scans a plain
-integer box in the reduced coordinates, so its cost does not grow with the
-condition number of a flowed basis g_t k B.  It takes a whole stack of bases,
-reduces it in one vectorised LLL pass, and walks the candidates of all their
+LLL-reduces the basis in the metric of its box first and scans an integer
+box in the reduced coordinates, each prefix's last coordinate only over the
+range that can reach the box, so its cost does not grow with the condition
+number of a flowed basis g_t k B.  It takes a whole stack of bases, reduces
+it in one vectorised LLL pass, and expands the candidates of all their
 boxes in fixed-size chunks, so one `siegel` Monte Carlo pass counts all its
 samples at once.  Horospherical lattices h_x Z^{d+1} (float Dirichlet
 approximates and region counts) go through the same enumerator: the
@@ -58,7 +59,17 @@ class DegenerateRational(RuntimeError):
 
 
 def default_budget() -> int:
-    return int(os.environ.get("LATDIR_BUDGET", 10**8))
+    """The candidate budget: env LATDIR_BUDGET, a positive integer, or 10^8."""
+    raw = os.environ.get("LATDIR_BUDGET")
+    if raw is None:
+        return 10**8
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # not an integer: rejected with the same message below
+    if budget < 1:
+        raise ValueError(f"LATDIR_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +312,9 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
         r2 = diag**2
         bad = r2[:, 1:] + R[above] ** 2 < LLL_DELTA * r2[:, :-1]
         swap = np.flatnonzero(bad.any(axis=1))
-        k = bad[swap].argmax(axis=1)  # first violating pair (k, k + 1)
-        Ua[swap, :, k], Ua[swap, :, k + 1] = Ua[swap, :, k + 1], Ua[swap, :, k]
+        if len(swap):  # never at n = 1, where `bad` has no column to take argmax over
+            k = bad[swap].argmax(axis=1)  # first violating pair (k, k + 1)
+            Ua[swap, :, k], Ua[swap, :, k + 1] = Ua[swap, :, k + 1], Ua[swap, :, k]
         U[active] = Ua
         active = active[swap]
     if np.any(np.abs(_int_dets(U)) != 1):
@@ -376,12 +388,33 @@ def _points(nf: np.ndarray, Bs: np.ndarray, k: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _lex_order(keys: list[np.ndarray]) -> np.ndarray:
+    """The stable order of the rows by the integer `keys` lexicographically,
+    first key first, as np.lexsort(keys[::-1]) gives it.  np.lexsort pays
+    for every key after the first, so runs of consecutive keys are packed
+    into one mixed-radix int64 key while it fits."""
+    if not len(keys[0]):
+        return np.zeros(0, dtype=np.intp)
+    packed, width = [], 0
+    for k in keys:
+        low = int(k.min())
+        span = int(k.max()) - low + 1
+        if packed and width * span <= 2**63:
+            packed[-1] = packed[-1] * span + (k - low)
+            width *= span
+        else:  # a key spanning more than 2^63 is taken as it is, and nothing joins it
+            packed.append(k - low if span <= 2**63 else k)
+            width = span
+    return np.lexsort(packed[::-1])
+
+
 def _integer_boxes(Bs: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, m_lo, sizes) for `enumerate_stacked`: each basis's exact reducing
-    transform and the integer box m_lo <= m < m_lo + sizes whose candidates
-    n = U m cover the basis's box, checked against the budget.  Its
-    temporaries die here, before any candidate is expanded."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U, R, m_lo, sizes) for `enumerate_stacked`: each basis's exact
+    reducing transform U, the float product R = B U, and the integer box
+    m_lo <= m < m_lo + sizes whose candidates n = U m cover the basis's box,
+    checked against the budget.  Its temporaries die here, before any
+    candidate is expanded."""
     dim = Bs.shape[1]
     # reduce diag(1/w) B, w the box's widths; a width that is 0 or infinite
     # takes the box's largest finite width (1 if none), so the scale stays finite
@@ -390,8 +423,9 @@ def _integer_boxes(Bs: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int
     widest = np.where(usable, w, 0.0).max(axis=1, keepdims=True)
     w = np.where(usable, w, np.where(widest > 0.0, widest, 1.0))
     Us = _lll_stacked(Bs / w[:, :, None])
+    R = Bs @ Us
     try:
-        Rinv = np.linalg.inv(Bs @ Us)
+        Rinv = np.linalg.inv(R)
     except np.linalg.LinAlgError:
         raise CandidateBudgetExceeded("degenerate basis: singular after reduction") from None
     with np.errstate(all="ignore"):
@@ -412,7 +446,130 @@ def _integer_boxes(Bs: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int
         total = math.prod(int(v) for v in row)
         if total > budget:
             raise CandidateBudgetExceeded(f"{total} candidates exceeds budget {budget}")
-    return Us, m_lo.astype(np.int64), sizes.astype(np.int64)
+    return Us, R, m_lo.astype(np.int64), sizes.astype(np.int64)
+
+
+def _runs(starts: np.ndarray, ends: np.ndarray, g0: int, g1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) of the flat indices g0 <= g < g1 of the back-to-back
+    runs [starts[i], ends[i]): the run each index falls in, by one np.repeat
+    over the runs the window meets, and its place in that run."""
+    a = int(np.searchsorted(ends, g0, side="right"))
+    b = int(np.searchsorted(ends, g1 - 1, side="right")) + 1
+    span = np.minimum(ends[a:b], g1) - np.maximum(starts[a:b], g0)
+    return np.repeat(np.arange(a, b), span), np.arange(g0, g1) - np.repeat(starts[a:b], span)
+
+
+def _last_ranges(R: np.ndarray, lo_s: np.ndarray, hi_s: np.ndarray, lowest: np.ndarray,
+                 highest: np.ndarray, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, counts): the range first <= m_L < first + counts of the last
+    coordinate for each prefix pre = m_0..m_{L-1}, given each prefix's rows
+    of R and of the widened box lo_s..hi_s, and the integer box's bounds
+    lowest..highest on m_L.
+
+    m_L runs over the closed range where s + r m_L, with s = R[:, :L] pre and
+    r = R[:, L], lies in lo_s..hi_s, cut to lowest..highest; a row with
+    r = 0 keeps the whole range if s lies in its window and empties it if
+    not.  The quotient by r rounds by u = 2^-53 relative, which the 1e-9
+    pad of `_int_bounds` covers.
+    """
+    L = pre.shape[1]
+    s = np.einsum("pij,pj->pi", R[:, :, :L], pre)
+    r = R[:, :, L]
+    down, flat = r < 0.0, r == 0.0
+    below = np.where(down, hi_s, lo_s) - s  # times r: each row's least m_L
+    above = np.where(down, lo_s, hi_s) - s  # times r: each row's largest m_L
+    miss = (flat & ((below > 0.0) | (above < 0.0))).any(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        below /= r
+        above /= r
+    below[flat], above[flat] = -np.inf, np.inf
+    first, last = _int_bounds(below.max(axis=1), above.min(axis=1))
+    first = np.clip(first, lowest, highest + 1).astype(np.int64)
+    last = np.clip(last, lowest - 1, highest).astype(np.int64)
+    return first, np.where(miss, 0, np.maximum(last - first + 1, 0))
+
+
+def _in_box_chunks(Bs, lo, hi, shared: bool, budget: int):
+    """(which, coords, points, done) of `enumerate_stacked`: the nonzero
+    in-box points of each chunk of at most ENUM_CHUNK candidates, unsorted,
+    and the number of bases whose candidates are all expanded after it.
+    The integer boxes (`_integer_boxes`) are checked against the budget
+    before the first chunk.
+
+    The prefixes m_0..m_{L-1} (L = D - 1, D the dimension) of every integer
+    box form one mixed-radix index range, taken ENUM_CHUNK at a time, and
+    each prefix's last coordinate m_L runs over `_last_ranges` of the box
+    widened by `slack` on every side.  The widest axis of each integer box
+    is put last, so the prefixes are as few as they can be.
+
+    The range misses no candidate whose float point n @ B.T lies in the box.
+    Let u = 2^-53, g = D u / (1 - D u), and N = |U| m_abs, m_abs the largest
+    |m| of the integer box by axis.  For every candidate m and n = U m:
+    the float point differs from the real B n by at most g |B| N (a float
+    dot product of length D errs by g times the sum of the absolute terms,
+    Higham 2002, section 3.1; rounding n to a float adds u |B| N); the float
+    R differs from B U by g |B||U|, which moves R m by g |B| N; and the float
+    prefix sum s differs from its real value by g |R| m_abs <= g (1 + g)
+    |B| N.  Forming lo - slack and subtracting s rounds by at most
+    2 u (|lo| + slack + |s|) more, and |s| <= (1 + g)^2 |B| N.  All of it is
+    below slack = 8 D u (|B| N + |lo| + |hi|) (as computed: 4 D eps, eps =
+    2u) for every D >= 1, with room for the rounding of slack itself.  The
+    final float test on the points decides, so the output does not depend
+    on the range beyond this inclusion.
+    """
+    dim = Bs.shape[1]
+    L = dim - 1
+    Us, R, m_lo, sizes = _integer_boxes(Bs, lo, hi, budget)
+    axes = np.argsort(sizes, axis=1, kind="stable")
+    Us, R = (np.take_along_axis(X, axes[:, None, :], axis=2) for X in (Us, R))
+    m_lo, sizes = (np.take_along_axis(X, axes, axis=1) for X in (m_lo, sizes))
+    m_hi = m_lo + sizes - 1
+    m_abs = np.maximum(np.abs(m_lo), np.abs(m_hi)).astype(float)
+    slack = 4 * dim * np.finfo(float).eps * (
+        np.einsum("kij,kj->ki", np.abs(Bs), np.einsum("kij,kj->ki", np.abs(Us), m_abs)) + np.abs(lo) + np.abs(hi))
+    lo_s, hi_s = lo - slack, hi + slack
+    prefixes = sizes[:, :L].prod(axis=1)  # one empty prefix a box at n = 1
+    p_ends = np.cumsum(prefixes)
+    p_starts = p_ends - prefixes
+    n_prefixes = int(p_ends[-1])
+    for p0 in range(0, n_prefixes, ENUM_CHUNK):
+        p1 = min(p0 + ENUM_CHUNK, n_prefixes)
+        k, rest = _runs(p_starts, p_ends, p0, p1)
+        # mixed-radix digits, last axis fastest: the order of meshgrid(indexing="ij")
+        pre = np.empty((len(k), L), dtype=np.int64)
+        for j in range(L - 1, 0, -1):
+            rest, pre[:, j] = np.divmod(rest, sizes[k, j])
+        if L:
+            pre[:, 0] = rest
+        pre += m_lo[k, :L]
+        first, counts = _last_ranges(R[k], lo_s[k], hi_s[k], m_lo[k, L], m_hi[k, L], pre)
+        c_ends = np.cumsum(counts)
+        c_starts = c_ends - counts
+        total = int(c_ends[-1])
+        if not total:
+            yield (np.zeros(0, np.int64), np.zeros((0, dim), np.int64), np.zeros((0, dim)),
+                   int(np.searchsorted(p_ends, p1, side="right")))
+            continue
+        # U is unimodular, so n = 0 only at m = 0: the zero prefix's m_L = 0
+        zero = np.flatnonzero(~pre.any(axis=1) & (first <= 0) & (first + counts > 0))
+        zero_at = c_starts[zero] - first[zero]
+        n_pre = np.einsum("pij,pj->pi", Us[k, :, :L], pre)
+        n_last = Us[k, :, L]
+        for c0 in range(0, total, ENUM_CHUNK):
+            c1 = min(c0 + ENUM_CHUNK, total)
+            owner, off = _runs(c_starts, c_ends, c0, c1)
+            skip = zero_at[(zero_at >= c0) & (zero_at < c1)] - c0
+            if len(skip):
+                owner, off = np.delete(owner, skip), np.delete(off, skip)
+            ns = n_pre[owner] + (first[owner] + off)[:, None] * n_last[owner]
+            which = k[owner]
+            pts = _points(ns.astype(float), Bs, which)
+            inside = np.ones(len(which), dtype=bool)
+            for j in range(dim):
+                lo_j, hi_j = (lo[0, j], hi[0, j]) if shared else (lo[which, j], hi[which, j])
+                inside &= (pts[:, j] >= lo_j) & (pts[:, j] <= hi_j)
+            done = p0 + int(np.searchsorted(c_ends, c1, side="right"))  # prefixes fully expanded
+            yield which[inside], ns[inside], pts[inside], int(np.searchsorted(p_ends, done, side="right"))
 
 
 def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
@@ -432,15 +589,18 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
     points, and the points do not depend on U.  The whole stack is reduced
     in one vectorised pass (`_lll_stacked`).
 
-    The candidates of all integer boxes form one mixed-radix index range,
-    expanded ENUM_CHUNK at a time: each chunk forms n = U m and the points
-    n @ B.T from each candidate's own basis and keeps the nonzero points in
-    the box.  Once all of a box's chunks are in, its points are yielded, so
-    the working memory is set by the chunk and the largest box's output, not
-    by K.  Yields blocks (which, points, coords): each point's basis index,
-    the point and its integer coordinates n, sorted by (which, n)
-    lexicographically; the blocks follow one another in basis order and
-    bases without a point yield nothing.
+    Only the candidates that can reach the box are expanded: every
+    coordinate of m but the last runs over the integer box, and for each
+    such prefix the last runs over the closed range that R maps into the
+    box, widened by a proven rounding margin (`_in_box_chunks`), at most
+    ENUM_CHUNK candidates at a time.  Each candidate forms n = U m and its
+    point n @ B.T on its own basis, and the nonzero points that pass the
+    float test against the box are kept.  Once all of a box's chunks are
+    in, its points are yielded, so the working memory is set by the chunk
+    and the largest box's output, not by K.  Yields blocks (which, points,
+    coords): each point's basis index, the point and its integer
+    coordinates n, sorted by (which, n) lexicographically; the blocks follow
+    one another in basis order and bases without a point yield nothing.
 
     Raises CandidateBudgetExceeded before expanding any candidate when an
     integer box holds more points than the budget (default 10^8, env
@@ -457,38 +617,20 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
         raise ValueError("box endpoints must match the lattice dimension")
     if np.any(hi < lo):
         raise ValueError("box endpoints out of order")
+    shared = lo.ndim == 1 and hi.ndim == 1
     lo, hi = np.broadcast_to(lo, (K, dim)), np.broadcast_to(hi, (K, dim))
-    Us, m_lo, sizes = _integer_boxes(Bs, lo, hi, budget if budget is not None else default_budget())
-    totals = sizes.prod(axis=1)
-    ends = np.cumsum(totals)
-    starts = ends - totals
-    n_total = int(ends[-1])
+    budget = budget if budget is not None else default_budget()
     pending: list = []  # (which, coords, points) found since the last complete box
     emitted = 0
-    for c0 in range(0, n_total, ENUM_CHUNK):
-        c1 = min(c0 + ENUM_CHUNK, n_total)
-        g = np.arange(c0, c1, dtype=np.int64)
-        k = np.searchsorted(ends, g, side="right")
-        # mixed-radix digits, last axis fastest: the order of meshgrid(indexing="ij")
-        rest, m = g - starts[k], np.empty((len(g), dim), dtype=np.int64)
-        for j in range(dim - 1, 0, -1):
-            rest, m[:, j] = np.divmod(rest, sizes[k, j])
-        m[:, 0] = rest
-        m += m_lo[k]
-        ns = np.einsum("kij,kj->ki", Us[k], m)
-        nz = ns.any(axis=1)
-        k, ns = k[nz], ns[nz]
-        pts = _points(ns.astype(float), Bs, k)
-        inside = np.all((pts >= lo[k]) & (pts <= hi[k]), axis=1)
-        pending.append((k[inside], ns[inside], pts[inside]))
-        done = int(np.searchsorted(ends, c1, side="right"))  # boxes [0, done) are complete
+    for which, ns, pts, done in _in_box_chunks(Bs, lo, hi, shared, budget):
+        pending.append((which, ns, pts))
         if done == emitted:
             continue
         which, ns, pts = (np.concatenate(part) for part in zip(*pending))
         cut = int(np.searchsorted(which, done))  # which never decreases along the range
         pending, emitted = [(which[cut:], ns[cut:], pts[cut:])], done
         if cut:
-            order = np.lexsort((*ns[:cut].T[::-1], which[:cut]))
+            order = _lex_order([which[:cut], *ns[:cut].T])
             yield which[order], pts[order], ns[order]
 
 
@@ -575,7 +717,7 @@ def _horo_candidates(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[f
     for which, _, ns in enumerate_stacked(B, box_lo, box_hi, budget=budget):
         keep = (ns[:, d] >= window[0, which]) & (ns[:, d] <= window[1, which])
         t, q, p = row[which[keep]], ns[keep, d], -ns[keep, :d]
-        order = np.lexsort((*p.T[::-1], q, t))
+        order = _lex_order([t, q, *p.T])
         yield t[order], q[order], p[order]
 
 

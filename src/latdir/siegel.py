@@ -252,23 +252,29 @@ class MCEstimate:
                 "t": self.t, "seed": self.seed, "integral_reference": self.integral_reference}
 
 
-def _sample_sums(fs: list, lat: Lattice, t: float, M: int, seed: int, budget=None) -> np.ndarray:
+def _sample_sums(fs: list, lat: Lattice, t: float, M: int, seed: int, budget=None,
+                 values=None) -> np.ndarray:
     """(len(fs), M) sums of each f over the nonzero points of each flowed
     lattice g_t k_i Lambda, from one pass over the hull of the padded support
     boxes.  A point is n @ B.T on its own flowed basis whatever the box, so
-    each f sees the bits of its own pass, and it is 0 off its own box."""
+    each f sees the bits of its own pass, and it is 0 off its own box.
+    `values(points, coords, bases, which)` gives a block's rows of values,
+    one an f; by default each f's own `evaluate`."""
     if M < 2:
         raise ValueError("need at least 2 samples")
     if not fs or any(f.dim != lat.dim for f in fs):
         raise ValueError("need one or more test functions of the lattice's dimension")
+    if values is None:
+        def values(*block):
+            return [f.evaluate(*block) for f in fs]
     boxes = np.array([pad_box(*f.support_box()) for f in fs])  # (len(fs), 2, n)
     lo, hi = boxes[:, 0].min(axis=0), boxes[:, 1].max(axis=0)
     Ks = haar_rotations(lat.dim, rng_streams([seed], M))
     bases = g_flow(t, lat.dim - 1) @ Ks @ lat.basis
     sums = np.zeros((len(fs), M))
     for which, pts, ns in enumerate_stacked(bases, lo, hi, budget=budget):
-        for f, row in zip(fs, sums):
-            row += np.bincount(which, weights=f.evaluate(pts, ns, bases, which), minlength=M)
+        for row, vals in zip(sums, values(pts, ns, bases, which)):
+            row += np.bincount(which, weights=vals, minlength=M)
     return sums
 
 
@@ -322,12 +328,18 @@ def thm3_ratio(lat: Lattice, A: DirectionSet, eps: float, t: float, M: int, seed
     Numerator and denominator are the averages of the region indicator with
     A and without it, read off one pass, so they share every rotation sample,
     which kills most of the variance of the ratio; the error bar is the
-    delta-method expansion.  Each sample's counts equal `count_region` on its
-    own lattice; `budget` caps each sample's box.
+    delta-method expansion.  One `_classify` call a block gives both, its
+    in-A mask and its region mask.  Each sample's counts equal
+    `count_region` on its own lattice; `budget` caps each sample's box.
     """
     spec = RegionSpec("R", lat.dim - 1, T=1.0, c=c, eps=eps, norm="euclidean", A=A)
     fs = [RegionIndicator(spec), RegionIndicator(replace(spec, A=None))]
-    xs, ys = _sample_sums(fs, lat, t, M, seed, budget)
+
+    def masks(pts, ns, bases, which):
+        ok, _, in_A = _classify(pts, spec, ns, bases, which)
+        return in_A, ok
+
+    xs, ys = _sample_sums(fs, lat, t, M, seed, budget, masks)
     num, den = (_estimate(f, vals, t, seed, keep_trace) for f, vals in zip(fs, (xs, ys)))
     if den.mean == 0.0:
         raise ZeroDenominator("no lattice points hit the region; increase t or M")

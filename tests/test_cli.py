@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latdir import census, cli
+from latdir import census, cli, siegel
 from latdir.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, RunConfig
 
 
@@ -187,6 +187,20 @@ def test_bad_constants_are_config_errors(tmp_path, capsys, argv):
     # these used to crash, exit 3, or run with a constant other than the one reported
     assert cli.main(["run", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_bad_budget_variable_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    # -5 used to exit 3 from the first box, abc with an int() message naming no variable
+    monkeypatch.setenv("LATDIR_BUDGET", value)
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a rotation was drawn")
+
+    monkeypatch.setattr(siegel, "haar_rotations", drawn)
+    assert cli.main(["run", "thm3", "--d", "1", "--M", "10", "--t", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"LATDIR_BUDGET must be a positive integer, got {value!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

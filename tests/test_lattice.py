@@ -229,6 +229,21 @@ def test_enumerate_returns_lexicographic_coords():
     assert len(ns) > 1 and list(map(tuple, ns.tolist())) == sorted(map(tuple, ns.tolist()))
 
 
+def test_one_dimensional_lattices_match_brute_force():
+    # a 1x1 basis is already reduced; the LLL round used to take argmax over no pair
+    pts, ns = enumerate_in_box(Lattice(np.array([[1.0]])), [-2.5], [2.5])
+    assert ns.tolist() == [[-2], [-1], [1], [2]] and pts.tolist() == [[-2.0], [-1.0], [1.0], [2.0]]
+    rng = np.random.default_rng(1)
+    scales = [1.0, -1.0, 0.5, -3.0, 0.37]
+    lo = rng.uniform(-4.0, 1.0, len(scales))
+    hi = lo + rng.uniform(0.0, 4.0, len(scales))
+    which, _, ns = (np.concatenate(part) for part in zip(
+        *lm.enumerate_stacked(np.array(scales)[:, None, None], lo[:, None], hi[:, None])))
+    for k, a in enumerate(scales):
+        want = [n for n in range(-20, 21) if n and lo[k] <= n * a <= hi[k]]
+        assert ns[which == k, 0].tolist() == want
+
+
 def test_enumerate_rejects_bad_box():
     with pytest.raises(ValueError):
         enumerate_in_box(Z2, [0.0, 0.0], [-1.0, 1.0])
@@ -448,6 +463,24 @@ def test_gram_schmidt_r_matches_householder_qr():
         _assert_r_matches_householder(g_flow(t, d) @ ks)
     # the DEGENERATE bases (which must still raise, see the tests above) too
     _assert_r_matches_householder(np.array([B for B in DEGENERATE if np.all(np.isfinite(B))]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([3, 10**4, 10**9, 2**62, 2**63]),
+       st.sampled_from([0, 2**61, -(2**61)]))
+@settings(max_examples=80, deadline=None)
+def test_lex_order_is_lexsort(seed, n_keys, span, offset):
+    # ties included; keys are packed while their spans' product fits in int64
+    rng = np.random.default_rng(seed)
+    half = span // 2 if not offset else min(span // 2, 2**61)  # offset + key stays in int64
+    keys = list(offset + rng.integers(-half, half + 1, (n_keys, int(rng.integers(0, 300)))))
+    assert np.array_equal(lm._lex_order(keys), np.lexsort(keys[::-1]))
+
+
+def test_lex_order_takes_a_key_spanning_more_than_2_63_as_it_is():
+    wide = np.array([2**62 + 5, -(2**62) - 5, 0, 7, 2**62 + 5, -(2**62) - 5])
+    narrow = np.array([1, 2, 3, 0, 0, 2])
+    for keys in ([narrow, wide, narrow], [wide, narrow], [narrow, wide]):
+        assert np.array_equal(lm._lex_order(keys), np.lexsort(keys[::-1]))
 
 
 def test_stacked_expands_a_large_box_in_slices():

@@ -26,6 +26,8 @@ Z3 = Lattice(np.eye(3))
 def test_box_indicator_transform():
     assert siegel_transform(BoxIndicator((-1.5, -1.5), (1.5, 1.5)), Z2) == 8
     assert siegel_transform(BoxIndicator((-2.5, -2.5), (2.5, 2.5)), Z2) == 24
+    # Z^1: the points +-1 and +-2
+    assert siegel_transform(BoxIndicator((-2.5,), (2.5,)), Lattice(np.array([[1.0]]))) == 4
 
 
 def test_region_indicator_integral_matches_volume():
