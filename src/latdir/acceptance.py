@@ -20,8 +20,8 @@ from . import census as census_mod
 from . import experiments as ex
 from . import lattice as lm
 from . import siegel as sg
-from .contfrac import (biased_number, constant_cf, convergent_rotation,
-                       error_ratio_bounds, RotationScan)
+from .contfrac import (Enclosure, biased_number, constant_cf, convergent_rotation,
+                       error_ratio_bounds)
 from .sphere import Cap, Hemisphere, SignSet
 
 # default seeds, pinned by pilot runs (see README on seed sensitivity)
@@ -114,17 +114,47 @@ def check_ratio_corollary() -> tuple[bool, str]:
 @_check("3 best-approximation brute force")
 def check_best_approximation() -> tuple[bool, str]:
     for label, cf in (("biased", biased_number()), ("golden", constant_cf(1))):
-        q5 = cf.convergent(5).q
-        scan = RotationScan(cf, q5 - 1)
         qs = [cf.convergent(n).q for n in range(0, 6)]
-        n = 0
-        for q in range(1, q5):
-            while n + 1 < len(qs) and qs[n + 1] <= q:
-                n += 1
-            qn = qs[n]
-            if q != qn and scan.abs_less(q, qn):
+        enc = Enclosure(cf, 16)
+        # each q in (q_n, q_{n+1}) is governed by q_n
+        for qn, q_next in zip(qs, qs[1:]):
+            q = first_closer(enc, qn, qn + 1, q_next - 1)
+            if q is not None:
                 return False, f"{label}: |{q}.x| < |{qn}.x|"
     return True, "no q < q_5 beats its governing convergent (biased and golden)"
+
+
+def first_closer(enc: Enclosure, q_ref: int, q_lo: int, q_hi: int) -> int | None:
+    """The least q in q_lo..q_hi, q != q_ref, with |q.x| < |q_ref.x| exactly,
+    or None.
+
+    `census.rotation_screen` gives f, e with |f - |q.x|| < e, so a q with
+    f_q - e_q >= f_ref + e_ref is not closer.  A closer q has
+    f_q - e_q + 3 (q + q_ref) 2^-52 < f_ref + e_ref, as e is four times the
+    proven error, and the float test's two roundings cost less than
+    2.5 * 2^-53, so it keeps every closer q.  The survivors are decided in
+    turn from the two `Enclosure.rotation` records on `enc`."""
+    _, f_ref, e_ref = next(census_mod.rotation_screen(enc, q_ref, q_ref))
+    bar = f_ref[0] + e_ref[0]
+    for q, f, e in census_mod.rotation_screen(enc, q_lo, q_hi):
+        for qq in q[f - e < bar].astype(np.int64).tolist():
+            if qq != q_ref and enc.decide(lambda iv: _abs_less(enc, qq, q_ref)):
+                return qq
+    return None
+
+
+def _abs_less(enc: Enclosure, q1: int, q2: int) -> bool | None:
+    """|q1.x| < |q2.x| (q1 != q2) on the current interval, None while it
+    cannot tell."""
+    r1, r2 = enc.rotation(q1), enc.rotation(q2)
+    if r1 is None or r2 is None:
+        return None
+    (_, a1, b1), (_, a2, b2) = r1, r2
+    if b1 <= a2:
+        return True
+    if b2 <= a1:
+        return False
+    return None
 
 
 @_check("4 census completeness")

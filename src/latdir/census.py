@@ -18,6 +18,10 @@ rather than being dropped.
 The CSV rows are `CensusRows`, a view whose exact length comes from the pieces,
 so `ROW_TOTAL_CAP` is checked before any row exists; the CSV text is streamed
 a slice of one run at a time.
+
+The independent oracle `brute_force_in_R` scans every q instead: the float
+screen `rotation_screen`, under an error bound proven in its docstring,
+leaves only a few q to decide exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .contfrac import CFNumber, Enclosure, biased_number, worley_walk
 
@@ -257,30 +263,84 @@ class CensusRows:
                                    for m in ms])
 
 
+#: `rotation_screen` widens its enclosure until D >= SCREEN_D, so that
+#: |x - L/D| < 2^-60
+SCREEN_D = 1 << 60
+#: q a chunk of `rotation_screen`
+SCREEN_CHUNK = 1 << 14
+#: `rotation_screen` takes q < SCREEN_Q_LIMIT, so q*x stays far below 2^52
+SCREEN_Q_LIMIT = 1 << 50
+
+
+def rotation_screen(enc: Enclosure, q_lo: int, q_hi: int):
+    """Yield (q, f, e) for q = q_lo..q_hi in chunks of at most SCREEN_CHUNK,
+    as float64 arrays with |f - ||q x||| < e, where ||.|| is the distance to
+    the nearest integer (so ||q x|| = |q.x|).
+
+    It widens `enc` until D >= 2^60 and takes xf = L / D once; Python's
+    int division rounds that correctly.  Then f = |y - rint(y)| with
+    y = fl(q xf), and e = q 2^-50.  Proof of the bound, in the standard
+    model of float64 arithmetic (unit roundoff u = 2^-53; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, section 2.2):
+
+    - |xf - L/D| <= 2^-54, as L/D < 1, and |x - L/D| < 1/D <= 2^-60;
+    - q < 2^50 is exact in float64 and |y - q xf| <= u q xf <= 2^-53 q (a
+      subnormal y errs by at most 2^-1075, which is smaller);
+    - y < 2^50 < 2^52, so rint(y) and y - rint(y) are exact, and f = ||y||;
+    - ||.|| is 1-Lipschitz, so |f - ||q x||| <= |y - q x|
+      < q (2^-53 + 2^-54 + 2^-60) < q 2^-52.
+
+    So the true error is below a quarter of e, and e = q 2^-50 is exact for
+    q >= 1.  The spare 3 q 2^-52 covers the roundings of a comparison made
+    of a few float operations on f and e, each at most u relative.  A later
+    widening of `enc` only narrows x's interval, so the bound still holds
+    with the first xf.  Raises ValueError for q_hi >= 2^50.
+    """
+    if q_hi >= SCREEN_Q_LIMIT:
+        raise ValueError(f"q_hi = {q_hi} is past the float screen's limit 2^50")
+    while enc.D < SCREEN_D:
+        enc.widen()
+    xf = enc.L / enc.D
+    for lo in range(q_lo, q_hi + 1, SCREEN_CHUNK):
+        q = np.arange(lo, min(lo + SCREEN_CHUNK, q_hi + 1), dtype=np.float64)
+        y = q * xf
+        yield q, np.abs(y - np.rint(y)), q * 2.0**-50
+
+
 def brute_force_in_R(cf: CFNumber, q_max: int) -> list[tuple[int, int]]:
     """Independent oracle: every (q, sign) with |q.x| * q <= 1, q = 1..q_max,
-    by direct exact scan (no remainder-class shortcut).
+    by direct scan (no remainder-class shortcut).
 
-    One pass walks q = 1..q_max on one enclosure with `Enclosure.rotations`,
-    which steps q.x by one addition per q, decides each q in turn and keeps
-    only the hits; a q the interval cannot decide widens it, and the scan
-    restarts from q = 1 on the tighter interval."""
+    `rotation_screen` gives f with |f - |q.x|| < e for each q, and a q with
+    q f > 1 + q e is no hit, as |q.x| > f - e.  The float test keeps every
+    hit despite its own three roundings: a hit has q f < 1 + s with
+    s = q^2 2^-52 >= 2u (u = 2^-53), and q e = 4 s, so
+    fl(q f) <= (1 + u)(1 + s) < (1 + 4 s (1 - u))(1 - u) <= fl(1 + fl(q e)).
+    Each survivor is decided exactly on the shared enclosure, which widens
+    when its interval cannot tell."""
     enc = Enclosure(cf, 16)
+    hits = []
+    for q, f, e in rotation_screen(enc, 1, q_max):
+        for qq in q[q * f <= 1 + q * e].astype(np.int64).tolist():
+            sign = enc.decide(lambda iv: _thinning_sign(enc, qq))
+            if sign:
+                hits.append((qq, sign))
+    return hits
 
-    def scan(iv):
-        hits = []
-        for q, rec in enumerate(enc.rotations(q_max), 1):
-            if rec is None:
-                return None
-            sign, nlo, nhi = rec
-            # |q.x| D lies strictly inside (nlo, nhi); equality q |q.x| = 1 is impossible
-            if q * nhi <= enc.D:
-                hits.append((q, sign))
-            elif q * nlo < enc.D:
-                return None
-        return hits
 
-    return enc.decide(scan)
+def _thinning_sign(enc: Enclosure, q: int) -> int | None:
+    """The sign of q.x if |q.x| * q <= 1, 0 if not, None while the current
+    interval cannot tell; equality q |q.x| = 1 is impossible."""
+    rec = enc.rotation(q)
+    if rec is None:
+        return None
+    sign, nlo, nhi = rec
+    # |q.x| D lies strictly inside (nlo, nhi)
+    if q * nhi <= enc.D:
+        return sign
+    if q * nlo >= enc.D:
+        return 0
+    return None
 
 
 def candidate_classes_ok(cf: CFNumber, q: int) -> bool:

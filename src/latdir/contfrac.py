@@ -243,7 +243,7 @@ class Enclosure:
     def widen(self) -> None:
         if self.terms >= self.max_terms:
             raise PrefixCapExceeded(f"undecided after {self.terms} elements (effectively rational input?)")
-        self._set(min(2 * self.terms, self.max_terms))
+        self._set(min(max(1, 2 * self.terms), self.max_terms))
 
     def decide(self, fn: Callable[[RationalInterval], object]):
         while True:
@@ -435,13 +435,15 @@ class RotationScan:
     """Exact circle-rotation data q.x for every q = 1..q_max at once.
 
     A brute-force oracle, not a counter: it holds one record per q, so its
-    memory grows with q_max.  It serves acceptance criteria 3-4 and the
-    tests of the exact approximate counts and of the census, which both take
-    their approximates level by level from `worley_walk` instead (the census
-    oracle `census.brute_force_in_R` scans without keeping records).  The
-    records come from `Enclosure.rotations`, one addition per q, on one
-    shared enclosure; a query the current enclosure cannot decide widens it,
-    and the records are rebuilt on the tighter interval.
+    memory grows with q_max.  No code in `latdir` calls it.  It stays only as
+    the tests' independent reference for the exact approximate counts, the
+    census, the census oracle `census.brute_force_in_R` and acceptance
+    criterion 3, which all screen with `census.rotation_screen` or walk with
+    `worley_walk` instead.  The records come from `Enclosure.rotations`, one
+    addition per q, on one shared enclosure; a query the current enclosure
+    cannot decide widens it, and the records are rebuilt on the tighter
+    interval.  It stays in this module because bench/tracing.py wraps its
+    constructor.
     """
 
     def __init__(self, cf: CFNumber, q_max: int, *, start_terms: int = 16, max_terms: int = PREFIX_CAP):

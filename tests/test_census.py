@@ -4,13 +4,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latdir import census as cns
 from latdir import cli
-from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, RotationScan, biased_number
+from latdir.contfrac import CFNumber, Enclosure, PrefixCapExceeded, RotationScan, biased_number, constant_cf
 
 
 @pytest.fixture(scope="module")
@@ -38,19 +39,89 @@ def test_census_agrees_with_brute_force(census5, brute31):
     assert census5.in_census_qs(b.convergent(5).q - 1) == brute31
 
 
+def _screen_number(kind, elems):
+    if kind == "biased":
+        return biased_number()
+    if kind == "golden":
+        return constant_cf(1)
+    return CFNumber.from_elements(elems, rule=lambda n: elems[(n - 1) % len(elems)])
+
+
+def _assert_screen_bound(cf, q_lo, q_hi):
+    """|f - ||q v||| < q 2^-52 <= e for v = L/D and (L + 1)/D, exactly."""
+    enc = Enclosure(cf, 16)
+    chunks = list(cns.rotation_screen(enc, q_lo, q_hi))
+    L, D = enc.L, enc.D  # the interval the screen took xf from
+    assert D >= cns.SCREEN_D
+    for q, f, e in chunks:
+        for qq, ff, ee in zip(q.astype(np.int64).tolist(), f.tolist(), e.tolist()):
+            assert ee == qq * 2.0**-50
+            for v in (Fraction(L, D), Fraction(L + 1, D)):
+                dist = abs(qq * v - round(qq * v))
+                assert abs(Fraction(ff) - dist) < Fraction(qq, 2**52) <= Fraction(ee)
+
+
+@given(st.sampled_from(["biased", "golden", "random"]),
+       st.lists(st.integers(1, 10**6), min_size=1, max_size=12),
+       st.integers(1, 2**20 - 64))
+@example("golden", [1], 1)
+@example("random", [10**6], 2**20 - 64)
+@settings(max_examples=60, deadline=None)
+def test_screen_error_bound_holds_exactly(kind, elems, q_lo):
+    _assert_screen_bound(_screen_number(kind, elems), q_lo, q_lo + 63)
+
+
+def test_screen_error_bound_holds_at_its_q_limit():
+    q_hi = cns.SCREEN_Q_LIMIT - 1
+    for cf in (biased_number(), constant_cf(1)):
+        _assert_screen_bound(cf, q_hi - 63, q_hi)
+
+
+def test_screen_widens_a_short_enclosure():
+    # golden at 16 terms has D = q_16 q_17 < 2^60; the screen widens it first
+    enc = Enclosure(constant_cf(1), 16)
+    assert enc.D < cns.SCREEN_D
+    next(cns.rotation_screen(enc, 1, 1))
+    assert enc.D >= cns.SCREEN_D and enc.terms == 64
+
+
+def test_screen_chunks_cover_the_range():
+    enc = Enclosure(biased_number(), 16)
+    q_lo, q_hi = 5, 2 * cns.SCREEN_CHUNK + 100
+    qs = [q for q, _, _ in cns.rotation_screen(enc, q_lo, q_hi)]
+    assert [len(q) for q in qs] == [cns.SCREEN_CHUNK, cns.SCREEN_CHUNK, 96]
+    assert np.array_equal(np.concatenate(qs), np.arange(q_lo, q_hi + 1))
+    assert list(cns.rotation_screen(enc, 1, 0)) == []
+
+
+def test_screen_rejects_q_past_its_limit():
+    enc = Enclosure(biased_number(), 16)
+    with pytest.raises(ValueError):
+        next(cns.rotation_screen(enc, 1, cns.SCREEN_Q_LIMIT))
+
+
 def _scan_in_R(cf, q_max):
     """The census oracle on a `RotationScan`, which keeps one record per q."""
     scan = RotationScan(cf, q_max)
     return [(q, scan.sign(q)) for q in range(1, q_max + 1) if scan.in_thinning(q)]
 
 
+def _big_first_element(a1):
+    return CFNumber.from_elements([a1, 4], rule=lambda n: a1 if n == 1 else 4)
+
+
 def test_brute_force_oracle_matches_a_rotation_scan(brute31):
     b = biased_number()
     assert brute31 == _scan_in_R(b, b.convergent(5).q - 1)
     rng = random.Random(14)
-    for _ in range(3):
-        cf = CFNumber.from_elements([rng.randint(1, 9) for _ in range(256)])
+    cfs = [CFNumber.from_elements([rng.randint(1, 9) for _ in range(256)]) for _ in range(3)]
+    # golden needs a wider enclosure than the 16 terms the oracle starts from
+    cfs += [constant_cf(1), constant_cf(2)]
+    for cf in cfs:
         assert cns.brute_force_in_R(cf, 20_000) == _scan_in_R(cf, 20_000)
+    cf = _big_first_element(600_000)
+    assert cns.brute_force_in_R(cf, 2_000) == _scan_in_R(cf, 2_000)
+    assert cns.brute_force_in_R(b, 0) == []
 
 
 # A RotationScan-based oracle peaked at 19.6 MB under tracemalloc at the biased
@@ -206,8 +277,7 @@ def test_level9_csv_is_never_held_whole(tmp_path):
 def test_big_level_zero_follows_the_row_cap():
     # a_1 = 600,000 leaves 599,999 level-0 candidates, past ROW_TOTAL_CAP; level
     # 0 keeps only its in-census points and cutoff witnesses, as other levels do
-    a1 = 600_000
-    cf = CFNumber.from_elements([a1, 4], rule=lambda n: a1 if n == 1 else 4)
+    cf = _big_first_element(600_000)
     rep = cns.build_census(3, cf=cf)
     zero = rep.levels[0].classes[0]
     assert zero.pieces == [(1, 774, 1)]

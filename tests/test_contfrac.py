@@ -275,6 +275,15 @@ def test_enclosure_doubles_to_the_cap():
         Enclosure(b, 2, 4).decide(lambda iv: None)
 
 
+def test_enclosure_widens_from_zero_terms():
+    # doubling 0 stays at 0: an undecidable query must still reach the cap
+    enc = Enclosure(biased_number(), 0)
+    enc.widen()
+    assert enc.terms == 1
+    with pytest.raises(PrefixCapExceeded):
+        Enclosure(constant_cf(1), 0, 4).decide(lambda iv: None)
+
+
 def _undecided_kinds(enc, q_max):
     """Which of the two undecided cases of `rotation` occur for q <= q_max:
     the nearest integer to q*x (with q.x's sign on the lower end >= 0), and
