@@ -6,7 +6,7 @@ continued-fraction counterexamples where the directions are biased.
 
 from .contfrac import (CFNumber, Convergent, RationalInterval, RotationScan,
                        biased_elements, biased_number, cf_product, constant_cf,
-                       error_ratio_bounds, rotation_value)
+                       error_ratio_bounds)
 from .lattice import (CountResult, Lattice, RegionSpec, count_approximates,
                       count_approximates_many, count_region, enumerate_in_box,
                       g_flow, lattice_from_x, region_volume, shell_count)

@@ -16,8 +16,11 @@ remainder mod q_n, and one that falls in none of the four classes raises
 rather than being dropped.
 
 The CSV rows are `CensusRows`, a view whose exact length comes from the pieces,
-so `ROW_TOTAL_CAP` is checked before any row exists; the CSV text is streamed
-a slice of one run at a time.
+so `ROW_TOTAL_CAP` is checked before any row exists.  The CSV text is streamed
+a block of rows at a time: within a run of rows only m and q = q_n m + r
+change, both in arithmetic progression, so `_run_text` formats a block as
+one uint8 array, the numbers written in base-10^8 limbs with int64 carries
+and their digits read off a table of 4-digit groups.
 
 The independent oracle `brute_force_in_R` scans every q instead: the float
 screen `rotation_screen`, under an error bound proven in its docstring,
@@ -29,6 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -110,8 +115,11 @@ class CensusReport:
 ROW_FULL_CAP = 512      # emit every candidate row when a_{n+1} is this small
 ROW_TOTAL_CAP = 500_000
 ROW_FIELDS = ("n", "r_label", "r", "m", "q", "in_R", "sign")
-# rows formatted into one chunk of CSV text: 4,096 cost the level-9 run 0.6 MB
-# more peak RSS than 1,024 at the same speed
+# most rows in one block of CSV text (and ROW_SLICE * 10^8 <= 2^62, see
+# `_digits`).  On a 2-vCPU VM (Python 3.11, numpy 2.4) the level-9 text took
+# 0.014-0.016 s at 1,024 and 0.022 s at 512; 2,048 and 4,096 were no faster,
+# while the tracemalloc peak of `csv_text` doubled with each step (0.39 MB at
+# 1,024, 1.55 MB at 4,096) and 4,096 cost the level-9 run 1.0 MB more peak RSS
 ROW_SLICE = 1024
 
 
@@ -239,28 +247,96 @@ class CensusRows:
     def __len__(self) -> int:
         return sum(b - a + 1 for _, _, a, b, _, _ in self._runs())
 
-    def __iter__(self):
+    def _signed_runs(self):
+        """`_runs` with each sign-0 run cut into runs of one exact `_row_sign`."""
         for level, cls, a, b, in_R, s in self._runs():
+            if s:
+                yield level, cls, a, b, in_R, s
+                continue
+            for s, ms in groupby(range(a, b + 1), lambda m: _row_sign(self.enc, level, cls, m)):
+                ms = list(ms)
+                yield level, cls, ms[0], ms[-1], in_R, s
+
+    def __iter__(self):
+        for level, cls, a, b, in_R, s in self._signed_runs():
             for m in range(a, b + 1):
-                yield (level.n, cls.label, cls.r, m, level.q_n * m + cls.r, in_R,
-                       s or _row_sign(self.enc, level, cls, m))
+                yield level.n, cls.label, cls.r, m, level.q_n * m + cls.r, in_R, s
 
     def csv_text(self):
         """The CSV file as `csv.writer` writes the header and these rows, in
-        chunks of at most ROW_SLICE rows.  Within a run only m and q change,
-        so each row is one f-string; `_row_sign` runs only where the run's
-        sign is 0."""
+        chunks of at most ROW_SLICE rows: the blocks of `_run_text`, one
+        signed run after another."""
         yield ",".join(ROW_FIELDS) + "\r\n"
-        for level, cls, a, b, in_R, s in self._runs():
-            head, qn, r = f"{level.n},{cls.label},{cls.r},", level.q_n, cls.r
-            for lo in range(a, b + 1, ROW_SLICE):
-                ms = range(lo, min(lo + ROW_SLICE, b + 1))
-                if s:
-                    tail = f",{in_R},{s}\r\n"
-                    yield "".join([f"{head}{m},{qn * m + r}{tail}" for m in ms])
-                else:
-                    yield "".join([f"{head}{m},{qn * m + r},{in_R},{_row_sign(self.enc, level, cls, m)}\r\n"
-                                   for m in ms])
+        for level, cls, a, b, in_R, s in self._signed_runs():
+            yield from _run_text(f"{level.n},{cls.label},{cls.r},", level.q_n, cls.r,
+                                 a, b, f",{in_R},{s}\r\n")
+
+
+#: base of the limbs `_digits` writes a number in
+LIMB = 10**8
+
+
+def _run_text(head: str, qn: int, r: int, a: int, b: int, tail: str):
+    """The CSV text f"{head}{m},{qn * m + r}{tail}" of m = a..b, yielded in
+    blocks of at most ROW_SLICE rows in which m and q = qn m + r keep their
+    decimal widths, so that every column of a block's (rows, width) uint8
+    array holds one field's byte or one digit of m or q."""
+    head, tail = head.encode(), tail.encode()
+    m = a
+    while m <= b:
+        q = qn * m + r
+        wm, wq = len(str(m)), len(str(q))
+        end = min(b + 1, m + ROW_SLICE, 10**wm, (10**wq - r + qn - 1) // qn)
+        rows, km, kq = end - m, -(-wm // 8), -(-wq // 8)
+        digits = _digits(_limbs(m, km) + _limbs(q, kq), _limbs(1, km) + _limbs(qn, kq), rows)
+        c = len(head) + wm + 1
+        buf = np.empty((rows, c + wq + len(tail)), np.uint8)
+        buf[:] = np.frombuffer(head + b"0" * wm + b"," + b"0" * wq + tail, np.uint8)
+        buf[:, len(head):c - 1] = digits[:, 8 * km - wm:8 * km]
+        buf[:, c:c + wq] = digits[:, 8 * (km + kq) - wq:]
+        yield buf.tobytes().decode("ascii")
+        m = end
+
+
+def _limbs(v: int, k: int) -> list[int]:
+    """The k base-LIMB limbs of v < LIMB^k, most significant first."""
+    return [v // LIMB ** (k - 1 - i) % LIMB for i in range(k)]
+
+
+def _digits(start: list[int], step: list[int], rows: int) -> np.ndarray:
+    """(rows, 8 k) uint8: the ASCII digits of the k limbs of start + j step, j < rows.
+
+    `start` and `step` hold, side by side, the base-B limbs (B = LIMB = 10^8,
+    most significant first) of numbers s + j t, each in as many limbs as its
+    largest value needs.  Limb i starts as x_i = j t_i + s_i; a round of the
+    carry loop reduces each limb mod B and adds its carry to limb i - 1.
+
+    Every value fits int64, whatever the size of the numbers.  With
+    S = ROW_SLICE >= rows, x_i <= (S - 1)(B - 1) + (B - 1) < S B at first,
+    so a carry is below S and a reduced limb plus a carry below B + S <= S B:
+    every limb, carry and carry times B stays below S B <= 2^62.  No carry
+    leaves a number: while its value is below B^k its top limb is below B
+    and carries nothing, so a round keeps the value.  Each unit carried
+    lowers the sum of the limbs by B - 1, so the loop ends.  A limb is then
+    two 4-digit groups, read off `_digit_table`.
+    """
+    if ROW_SLICE * LIMB > 1 << 62:
+        raise ValueError(f"ROW_SLICE = {ROW_SLICE} lets a limb overflow int64")
+    x = np.array(step)[:, None] * np.arange(rows, dtype=np.int64) + np.array(start)[:, None]
+    while (x >= LIMB).any():
+        carry = x // LIMB
+        x -= carry * LIMB
+        x[:-1] += carry[1:]
+    hi = x // 10**4
+    groups = np.stack([hi, x - hi * 10**4], axis=1).transpose(2, 0, 1)  # (rows, k, 2)
+    return _digit_table().take(groups).view(np.uint8).reshape(rows, -1)
+
+
+@cache
+def _digit_table() -> np.ndarray:
+    """(10,000,) uint32 whose bytes are the ASCII digits of 0000..9999."""
+    g = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    return (g + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
 
 
 #: `rotation_screen` widens its enclosure until D >= SCREEN_D, so that

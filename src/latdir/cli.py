@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -95,20 +96,32 @@ class RunConfig:
 
 def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str):
     """Write the report and, unless `csv_text` yields nothing, the CSV trace
-    from its text chunks, one chunk at a time."""
+    from its text chunks, one chunk at a time.  Both are written under
+    temporary names and renamed once the last chunk is in, so a run that
+    fails part way leaves neither file."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report_obj = dict(report_obj)
     report_obj["config"] = json.loads(cfg.to_json())
     report_obj["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = out / f"{cfg.experiment}-report.json"
-    path.write_text(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-    chunks = iter(csv_text)
-    first = next(chunks, "")
-    if first:
-        with open(out / f"{trace_name}.csv", "w", newline="") as fh:
-            fh.write(first)
-            fh.writelines(chunks)
+    partial = {path: path.with_name(path.name + ".partial")}
+    try:
+        partial[path].write_text(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
+        chunks = iter(csv_text)
+        first = next(chunks, "")
+        if first:
+            trace = out / f"{trace_name}.csv"
+            partial[trace] = trace.with_name(trace.name + ".partial")
+            with open(partial[trace], "w", newline="") as fh:
+                fh.write(first)
+                fh.writelines(chunks)
+    except BaseException:
+        for tmp in partial.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for final, tmp in partial.items():
+        os.replace(tmp, final)
     return path
 
 

@@ -364,31 +364,6 @@ def _multiples(enc: Enclosure, q: int, cap: int, C: Fraction) -> tuple[int, int]
     return sign, min(sure, cap)
 
 
-def rotation_value(cf: CFNumber, q: int, *, max_terms: int = PREFIX_CAP) -> tuple[int, RationalInterval]:
-    """Exact sign and enclosure of q.x, the representative of q*x in (-1/2, 1/2).
-
-    The enclosure is refined until the nearest integer to q*x is pinned down
-    and the representative's sign is determined; both always happen for an
-    irrational x.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-
-    def decide(iv: RationalInterval):
-        lo, hi = q * iv.lo, q * iv.hi
-        r = math.floor(lo + HALF)
-        if math.floor(hi + HALF) != r:
-            return None
-        rep = RationalInterval(lo - r, hi - r)
-        if rep.lo > 0:
-            return (1, rep)
-        if rep.hi < 0:
-            return (-1, rep)
-        return None
-
-    return Enclosure(cf, 8, max_terms).decide(decide)
-
-
 def convergent_rotation(cf: CFNumber, n: int) -> tuple[int, RationalInterval]:
     """Sign and enclosure of the signed convergent error q_n*x - p_n.
 

@@ -257,6 +257,88 @@ def test_csv_text_matches_csv_writer_on_random_numbers(a1, rest):
     assert "".join(rows.csv_text()) == _csv_writer_text(rows)
 
 
+def _f_string_rows(head, qn, r, a, b, tail):
+    return "".join(f"{head}{m},{qn * m + r}{tail}" for m in range(a, b + 1))
+
+
+HEADS = st.sampled_from(["0,unit,0,", "9,q_{n-1},231285490474283793,", "3,2q_{n-1},34,"])
+TAILS = st.sampled_from([",True,-1\r\n", ",False,1\r\n", ",True,1\r\n"])
+# how many rows of a run come before its first m (or q) >= 10^e: 0 crosses
+# at the run's start, ROW_SLICE at its first slice edge
+CROSSING = st.one_of(st.sampled_from([0, 1, cns.ROW_SLICE - 1, cns.ROW_SLICE, cns.ROW_SLICE + 1]),
+                     st.integers(0, 2 * cns.ROW_SLICE + 2))
+
+
+@given(HEADS, TAILS, st.sampled_from(["m", "q"]), st.integers(1, 60), CROSSING,
+       st.integers(1, 2 * cns.ROW_SLICE + 3), st.integers(1, 10**58), st.integers(0, 10**58))
+@example(",", ",\r\n", "q", 19, cns.ROW_SLICE, cns.ROW_SLICE + 1, 2**63 // 1000, 5)
+@example(",", ",\r\n", "m", 9, cns.ROW_SLICE, 3 * cns.ROW_SLICE, 1, 0)
+@example(",", ",\r\n", "m", 60, 7, 40, 10**58, 10**58 - 1)
+@settings(max_examples=80, deadline=None)
+def test_run_text_is_the_f_string_text(head, tail, which, e, before, rows, qn, r):
+    # a run whose m (or q) gains a digit `before` rows after its start, with q
+    # up to about 10^60 and m up to 10^60 (eight limbs of 10^8)
+    r %= qn
+    a = 10**e - before if which == "m" else -((r - 10**e) // qn) - before
+    a = max(a, 1)
+    b = a + rows - 1
+    chunks = list(cns._run_text(head, qn, r, a, b, tail))
+    assert "".join(chunks) == _f_string_rows(head, qn, r, a, b, tail)
+    assert all(0 < chunk.count("\n") <= cns.ROW_SLICE for chunk in chunks)
+
+
+def test_run_text_crosses_widths_inside_a_slice():
+    # within one slice, m crosses 10^8 and then q = qn m crosses 10^20
+    qn = 10**20 // (10**8 + 5) + 1
+    a = 10**8 - 3
+    m20 = -(-(10**20) // qn)
+    assert 10**8 < m20 < a + 20
+    chunks = list(cns._run_text("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n"))
+    assert "".join(chunks) == _f_string_rows("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n")
+    assert [chunk.count("\n") for chunk in chunks] == [3, m20 - 10**8, a + 21 - m20]
+
+
+@pytest.mark.parametrize("elements", [None, [600, 4, 600, 3, 2_000, 2, 5_000]])
+def test_signed_runs_keep_each_rows_exact_sign(elements):
+    # out-of-R candidates are cut into runs of one sign; each row keeps the
+    # sign `_row_sign` gives it alone
+    cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)]) if elements else None
+    rep = cns.build_census(5, cf=cf)
+    levels = {lv.n: lv for lv in rep.levels}
+    classes = {(lv.n, c.label): c for lv in rep.levels for c in lv.classes}
+    out_of_R = [row for row in rep.rows if not row[5]]
+    assert {s for *_, s in out_of_R} == {-1, 1}
+    for n, label, _, m, _, _, s in out_of_R:
+        assert s == cns._row_sign(rep.rows.enc, levels[n], classes[n, label], m)
+
+
+def test_run_text_carries_through_a_limb_of_nines():
+    # m = q = 2 10^16 - 5 .. 2 10^16 + 5: the low limb's carry makes the
+    # middle limb 99,999,999 reach 10^8, which carries again
+    a, b = 2 * 10**16 - 5, 2 * 10**16 + 5
+    assert "".join(cns._run_text("0,unit,0,", 1, 0, a, b, ",True,1\r\n")) == \
+        _f_string_rows("0,unit,0,", 1, 0, a, b, ",True,1\r\n")
+
+
+def test_limb_bound_fails_loudly(monkeypatch):
+    # ROW_SLICE * 10^8 must stay within 2^62 for the int64 limbs to be exact
+    monkeypatch.setattr(cns, "ROW_SLICE", (1 << 62) // cns.LIMB + 1)
+    with pytest.raises(ValueError, match="ROW_SLICE"):
+        next(cns._run_text("", 3, 1, 1, 2, "\r\n"))
+
+
+def test_csv_text_of_a_census_with_a_huge_element():
+    # a_2 = a_3 = 10^9: the in-census row m = a_2 - 1 of class q_{n-1} spans
+    # two limbs.  (A cutoff witness's m cannot: remainder 0 keeps m <=
+    # sqrt(a_{n+1}) + 1, and m >= 10^8 there would take 10^8 rows, past
+    # ROW_TOTAL_CAP.)
+    elements = [4, 10**9, 10**9, 4, 2, 5]
+    cf = CFNumber.from_elements(elements, rule=lambda n: elements[(n - 1) % len(elements)])
+    rows = cns.build_census(3, cf=cf).rows
+    assert (1, "q_{n-1}", 1, 999_999_999, 3_999_999_997, True, 1) in set(rows)
+    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+
+
 # The level-9 CSV is 4.66 MB of text.  Written a run slice (ROW_SLICE rows) at
 # a time, the run holds a few slices; this bound was fixed before the test
 # first ran, and a writer that joins all the text first fails it.

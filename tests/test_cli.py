@@ -312,3 +312,29 @@ def test_verify_reports_identical_across_runs(tmp_path, capsys):
     ra = _strip_timestamp(a / "verify-report.json")
     rb = _strip_timestamp(b / "verify-report.json")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_a_trace_that_fails_part_way_leaves_no_file(tmp_path):
+    # the report and the trace are renamed into place only after the last
+    # chunk; a failure used to leave a truncated CSV beside a finished report
+    def chunks():
+        yield "i,x\r\n"
+        yield "0,1\r\n"
+        raise RuntimeError("trace failed")
+
+    cfg = RunConfig(experiment="thm1", out=str(tmp_path))
+    with pytest.raises(RuntimeError, match="trace failed"):
+        cli._write_report(cfg, {"experiment": "thm1"}, chunks(), "thm1-trace")
+    assert not (tmp_path / "thm1-report.json").exists()
+    assert not (tmp_path / "thm1-trace.csv").exists()
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_report_renames_both_files_into_place(tmp_path):
+    cfg = RunConfig(experiment="thm1", out=str(tmp_path))
+    path = cli._write_report(cfg, {"experiment": "thm1"}, iter(["i,x\r\n", "0,1\r\n"]), "thm1-trace")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["thm1-report.json", "thm1-trace.csv"]
+    assert path == tmp_path / "thm1-report.json"
+    assert (tmp_path / "thm1-trace.csv").read_bytes() == b"i,x\r\n0,1\r\n"
+    cli._write_report(cfg, {"experiment": "thm1"}, iter([]), "thm1-trace")
+    assert json.loads(path.read_text())["experiment"] == "thm1"

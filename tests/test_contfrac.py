@@ -11,6 +11,8 @@ from latdir.contfrac import (CFNumber, ElementsExhausted, Enclosure, PrefixCapEx
                              RationalInterval, RotationScan, biased_elements,
                              biased_number, cf_product, constant_cf)
 
+from cf_oracles import rotation_value
+
 elements_lists = st.lists(st.integers(min_value=1, max_value=30), min_size=6, max_size=14)
 
 
@@ -107,7 +109,7 @@ def test_interval_validation():
 
 def test_rotation_value_biased_q4():
     b = biased_number()
-    sign, iv = cfm.rotation_value(b, 4)
+    sign, iv = rotation_value(b, 4)
     assert sign == -1
     assert Fraction(1, 21) < iv.abs().lo and iv.abs().hi < Fraction(1, 17)
 
@@ -115,7 +117,7 @@ def test_rotation_value_biased_q4():
 def test_rotation_signs_alternate_on_convergents():
     b = biased_number()
     for n in range(1, 9):
-        sign, _ = cfm.rotation_value(b, b.convergent(n).q)
+        sign, _ = rotation_value(b, b.convergent(n).q)
         assert sign == (-1) ** n
 
 
@@ -214,7 +216,7 @@ def test_scan_matches_rotation_value_and_oracle():
     b = biased_number()
     scan = RotationScan(b, 200)
     for q in range(1, 201):
-        sign, _ = cfm.rotation_value(b, q)
+        sign, _ = rotation_value(b, q)
         assert scan.sign(q) == sign
         assert scan.in_thinning(q, 1) == _oracle_in_thinning(b, q)
 
@@ -354,7 +356,7 @@ def test_finite_prefix_exhausts():
 def test_prefix_cap_guard():
     b = biased_number()
     with pytest.raises(PrefixCapExceeded):
-        cfm.rotation_value(b, b.convergent(9).q, max_terms=4)
+        rotation_value(b, b.convergent(9).q, max_terms=4)
 
 
 def test_element_validation():
