@@ -25,6 +25,13 @@ class EmptyDenominator(RuntimeError):
 
 
 def _jsonable(v):
+    kind = type(v)  # the exact types of most of a report first, then the general rules
+    if kind is float or kind is str or kind is bool or v is None:
+        return v
+    if kind is dict:
+        return {k: _jsonable(x) for k, x in v.items()}
+    if kind is list:
+        return [_jsonable(x) for x in v]
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, int) and abs(v) > 2**53:
@@ -99,8 +106,10 @@ def shell_average_experiment(x, N_max: int, c: float = 1.0,
     2^{i-1} < v_2 <= 2^i), their running sums N(Lambda, 2^N), and the
     per-level averages N(Lambda, 2^N)/N against the volume references.
 
-    All N shells are counted in one stacked enumeration; P_{2^N} is counted
-    by one of its own, so the additivity check compares independent counts."""
+    The N shells and P_{2^N} are counted in one stacked enumeration
+    (`count_regions`).  P_{2^N} keeps its own flowed shells, boxes,
+    reduction and classification there, so the additivity check still
+    compares independent counts."""
     if N_max < 2:
         raise ValueError("need N_max >= 2")
     lat = lattice_from_x(x)
@@ -113,8 +122,9 @@ def shell_average_experiment(x, N_max: int, c: float = 1.0,
     running = 0
     running_A = 0
     degenerate = 0
-    shells = lm.count_regions(lat, [RegionSpec("Q", d, T=float(2**i), c=c, norm=norm, A=A)
-                                    for i in range(1, N_max + 1)])
+    *shells, direct = lm.count_regions(lat, [RegionSpec("Q", d, T=float(2**i), c=c, norm=norm, A=A)
+                                             for i in range(1, N_max + 1)]
+                                       + [RegionSpec("P", d, T=float(2**N_max), c=c, norm=norm)])
     for i, sh in enumerate(shells, 1):
         running += sh.total
         degenerate += sh.degenerate
@@ -130,7 +140,6 @@ def shell_average_experiment(x, N_max: int, c: float = 1.0,
                         "ratio": running_A / running if running else None})
         report.records.append(rec)
     # exact cross-check: shells must tile P_{2^N}
-    direct = lm.count_region(lat, RegionSpec("P", d, T=float(2**N_max), c=c, norm=norm))
     report.summary = {"final_average": running / N_max, "reference": ref,
                       "relative_deviation": abs(running / N_max - ref) / ref,
                       "shells_sum": running, "direct_count": direct.total,

@@ -286,11 +286,22 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
     which costs candidates, never points; a basis still active after
     LLL_STEP_CAP rounds keeps its partly reduced U.  One stacked exact
     determinant (`_int_dets`) then checks that every U is unimodular.
+
+    Before a size-reduction step U_j -= q U_i, TOO_ILL_CONDITIONED is raised
+    exactly when some basis's |q| max|U_i| + max|U_j| reaches 2^53, so no
+    entry of U passes 2^53 or wraps in int64.  That per-basis test runs only
+    once a scalar `bound` >= max |U| over the active stack reaches 2^53: it
+    starts at 1 (U = I), swaps and finished bases leave the max as it is,
+    and a step raises the max at most by the factor 1 + |q|_max.  Rounding
+    is monotone and every integer below 2^53 is a float, so while the float
+    bound is below 2^53 every basis's test value is an integer below it and
+    would pass.  A tripped bound is reset to the max after its step.
     """
     K, n = A.shape[:2]
     U = np.broadcast_to(np.eye(n, dtype=np.int64), (K, n, n)).copy()
     active = np.arange(K)
     above = (slice(None), np.arange(n - 1), np.arange(1, n))  # R[k-1, k]
+    bound = 1.0
     for _ in range(LLL_STEP_CAP):
         if not len(active):
             break
@@ -302,13 +313,19 @@ def _lll_stacked(A: np.ndarray) -> np.ndarray:
         for j in range(1, n):
             for i in range(j - 1, -1, -1):
                 q = np.rint(R[:, i, j] / R[:, i, i])
-                if not q.any():  # already size-reduced (a NaN q counts as nonzero)
+                q_max = np.abs(q).max()
+                if not q_max:  # already size-reduced (a NaN q counts as nonzero)
                     continue
-                grown = np.abs(q) * np.abs(Ua[:, :, i]).max(axis=1) + np.abs(Ua[:, :, j]).max(axis=1)
-                if not np.all(grown < U_ENTRY_CAP):  # also catches a NaN q
-                    raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
+                bound *= 1.0 + q_max
+                tripped = not bound < U_ENTRY_CAP  # also on a NaN q
+                if tripped:
+                    grown = np.abs(q) * np.abs(Ua[:, :, i]).max(axis=1) + np.abs(Ua[:, :, j]).max(axis=1)
+                    if not np.all(grown < U_ENTRY_CAP):
+                        raise CandidateBudgetExceeded(TOO_ILL_CONDITIONED)
                 R[:, :i + 1, j] -= q[:, None] * R[:, :i + 1, i]
                 Ua[:, :, j] -= q.astype(np.int64)[:, None] * Ua[:, :, i]
+                if tripped:
+                    bound = float(np.abs(Ua).max())
         r2 = diag**2
         bad = r2[:, 1:] + R[above] ** 2 < LLL_DELTA * r2[:, :-1]
         swap = np.flatnonzero(bad.any(axis=1))
@@ -659,37 +676,45 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
 # ---------------------------------------------------------------------------
 # horospherical candidates through flowed shells
 
-SHELL_RATIO = 16  # q-shells e <= q < 16 e; ratio 2 costs more calls, 64 a bigger box
+# q-shells e <= q < SHELL_RATIO e: a smaller ratio pays more shells, a larger
+# one bigger boxes.  On a 2-core VM, 200 d = 1 targets at T = 1e5 counted in
+# 18.9 / 12.6 / 11.8 / 13.1 / 15.7 ms at ratios 2 / 4 / 8 / 16 / 32, and 50
+# d = 2 targets at T = 1e4 in 9.9 / 7.6 / 7.7 / 9.2 / 10.9 ms.
+SHELL_RATIO = 8
 
 
 def _flowed_shells(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[float]):
     """(row, bases, box_lo, box_hi, window) of the flowed shells of
-    `_horo_candidates`, one entry a shell, row-major; None if no row has a
-    shell.  The shell lists die here, before any candidate is expanded."""
+    `_horo_candidates`, one entry a shell, row-major and ascending in q
+    within a row; None if no row has a shell.  Each basis has the columns
+    (q, p_1, ..., p_d), so its integer coordinates are n = (q, p).  The
+    windows e <= q <= top are exact int64; q_lo >= 1.  The shell table dies
+    here, before any candidate is expanded."""
     d = xs.shape[1]
-    rows, es, tops = [], [], []  # one entry a shell, row-major
-    for i, (e, hi) in enumerate(zip(q_lo, q_hi)):
-        while e <= hi:
-            rows.append(i)
-            es.append(e)
-            tops.append(min(e * SHELL_RATIO - 1, hi))
-            e *= SHELL_RATIO
-    if not es:
+    lo, hi = np.array(q_lo, dtype=np.int64), np.array(q_hi, dtype=np.int64)
+    ratios, widest = [1], int(hi.max(initial=0))  # SHELL_RATIO^j for every j with a shell
+    while ratios[-1] * SHELL_RATIO <= widest:
+        ratios.append(ratios[-1] * SHELL_RATIO)
+    ratio = np.array(ratios, dtype=np.int64)
+    row, level = np.nonzero(lo[:, None] <= hi[:, None] // ratio)  # q_lo R^j <= q_hi, exactly
+    if not len(row):
         return None
-    row = np.array(rows)
+    e, q_top = lo[row] * ratio[level], hi[row]
+    cap = q_top // SHELL_RATIO
+    top = np.where(e <= cap, np.minimum(e, cap) * SHELL_RATIO - 1, q_top)  # min(R e - 1, q_hi), no wrap
     x, c = xs[row], np.array(C, dtype=float)[row, None]
-    a = np.array([e ** (1.0 / d) for e in es])
-    top = np.array(tops, dtype=float)
-    B = np.zeros((len(es), d + 1, d + 1))
-    B[:, range(d), range(d)] = a[:, None]
-    B[:, d, d] = [1.0 / e for e in es]
-    B[:, :d, d] = a[:, None] * x
-    n_abs = np.column_stack([np.abs(x) * top[:, None] + c + 1.0, top])
+    ef, tf = e.astype(float), top.astype(float)
+    a = ef ** (1.0 / d)
+    B = np.zeros((len(e), d + 1, d + 1))
+    B[:, :d, 0] = a[:, None] * x
+    B[:, d, 0] = 1.0 / ef
+    B[:, range(d), range(1, d + 1)] = -a[:, None]
+    n_abs = np.column_stack([tf, np.abs(x) * tf[:, None] + c + 1.0])
     margin = 4 * (d + 1) * np.finfo(float).eps * (np.einsum("kij,kj->ki", np.abs(B), n_abs) + c)
     r = c + margin[:, :d]
-    box_lo = np.column_stack([-r, [(e - 0.5) / e for e in es]])
-    box_hi = np.column_stack([r, [(t + 0.5) / e for e, t in zip(es, tops)]])
-    return row, B, box_lo, box_hi, np.array([es, tops], dtype=np.int64)
+    box_lo = np.column_stack([-r, (ef - 0.5) / ef])
+    box_hi = np.column_stack([r, (tf + 0.5) / ef])
+    return row, B, box_lo, box_hi, np.array([e, top])
 
 
 def _horo_candidates(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[float],
@@ -700,25 +725,27 @@ def _horo_candidates(xs: np.ndarray, q_lo: list[int], q_hi: list[int], C: list[f
     sorted by (row, q, p) within each block, and the blocks follow one
     another in that order.
 
-    Dani's correspondence: the geometric shell e <= q < 16 e of h_x Z^{d+1},
-    flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the fixed box
-    |v_1| <= C, 1 <= v_2 < 16, so the shells of all rows, O(log(q_hi/q_lo))
-    a row, are the boxes of one `enumerate_stacked` call.  Each box is
-    widened by the rounding error of its flowed float coordinates and of the
-    callers' q x - p and C q^{-1/d}, bounded like the enumerator's margin, so
-    no point a float predicate on q x - p accepts is dropped by the box
-    filter.  The q-window is cut on the exact integer q.
+    Dani's correspondence: the geometric shell e <= q < SHELL_RATIO e of
+    h_x Z^{d+1}, flowed by diag(a, ..., a, a^{-d}) with a^d = e, lies in the
+    fixed box |v_1| <= C, 1 <= v_2 < SHELL_RATIO, so the shells of all rows,
+    O(log(q_hi/q_lo)) a row, are the boxes of one `enumerate_stacked` call.
+    Each box is widened by the rounding error of its flowed float
+    coordinates and of the callers' q x - p and C q^{-1/d}, bounded like the
+    enumerator's margin, so no point a float predicate on q x - p accepts is
+    dropped by the box filter.  The q-window is cut on the exact integer q.
+
+    No sort is needed: the enumerator yields (which, n) in order, n = (q, p),
+    and the shells are row-major and ascend in q within a row, so that order
+    is (row, q, p).
     """
     shells = _flowed_shells(xs, q_lo, q_hi, C)
     if shells is None:
         return
     row, B, box_lo, box_hi, window = shells
-    d = xs.shape[1]
     for which, _, ns in enumerate_stacked(B, box_lo, box_hi, budget=budget):
-        keep = (ns[:, d] >= window[0, which]) & (ns[:, d] <= window[1, which])
-        t, q, p = row[which[keep]], ns[keep, d], -ns[keep, :d]
-        order = _lex_order([t, q, *p.T])
-        yield t[order], q[order], p[order]
+        q = ns[:, 0]
+        keep = (q >= window[0, which]) & (q <= window[1, which])
+        yield row[which[keep]], q[keep], ns[keep, 1:]
 
 
 # ---------------------------------------------------------------------------

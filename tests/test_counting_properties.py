@@ -100,13 +100,14 @@ def _direction(d, norm, data):
     return [uj / _v1_norm(u, norm) for uj in u]
 
 
-# Approximates at q0 = 16^k, where a shell opens, graze the edge of the flowed
-# box.  At d <= 2 the flow is by a power of two and is exact; at d = 3 it rounds.
+# Approximates at q0 = SHELL_RATIO^k, where a shell opens, graze the edge of
+# the flowed box.  The flow a = q0^(1/d) is exact at d = 1; at d = 2 and 3 it
+# is exact at some k and rounds at others (8^(1/2) and 64^(1/3) at ratio 8).
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 3), k=st.integers(0, 2), C=st.sampled_from([1.0, 2.5]), norm=norms,
        data=st.data())
 def test_boundary_targets_match_brute_force(d, k, C, norm, data):
-    q0 = 16**k
+    q0 = lm.SHELL_RATIO**k
     p0 = data.draw(st.lists(st.integers(-3 * q0, 3 * q0), min_size=d, max_size=d))
     rho = float((C * np.array([float(q0)]) ** (-1.0 / d))[0])
     x = _graze(q0, p0, _direction(d, norm, data), rho, lambda v: _v1_norm(v, norm) < rho)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latdir import experiments as ex
+from latdir import lattice as lm
 from latdir.contfrac import biased_number
 from latdir.sphere import Cap, Complement, Hemisphere, SignSet, full_sphere
 
@@ -60,6 +61,40 @@ def test_shell_average_with_direction_set():
     assert final["cumulative_in_A"] <= final["cumulative"]
     assert rep.summary["target"] == 0.5
     assert rep.summary["final_ratio"] == final["ratio"]
+
+
+def test_shell_average_is_one_stacked_enumeration(monkeypatch):
+    calls = []
+    enumerate_stacked = lm.enumerate_stacked
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return enumerate_stacked(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "enumerate_stacked", counted)
+    rep = ex.shell_average_experiment(0.3173205080756888, 14, c=1.0, A=MINUS)
+    assert len(calls) == 1 and rep.summary["additivity_exact"]
+
+
+@pytest.mark.parametrize("A", [None, MINUS])
+def test_shell_average_direct_count_is_a_standalone_count(A):
+    # P_{2^N} shares the shells' stack; it must count what it counts alone
+    for x in np.random.default_rng(12).random(3):
+        for N in range(2, 15):
+            rep = ex.shell_average_experiment(float(x), N, c=1.0, A=A)
+            alone = lm.count_region(lm.lattice_from_x(float(x)), lm.RegionSpec("P", 1, T=float(2**N), c=1.0,
+                                                                                 norm="sup"))
+            assert rep.summary["direct_count"] == alone.total == rep.summary["shells_sum"]
+
+
+def test_jsonable_matches_the_general_rules():
+    report = {"a": [1.5, "s", True, None, 2**60, -(2**60), 7, np.float64(0.25), np.int64(3),
+                    Fraction(1, 3), (1, np.float64(2.0)), {"b": [float("nan"), False]}],
+              "c": {"d": {"e": [np.int64(2**62)]}}}
+    want = {"a": [1.5, "s", True, None, str(2**60), str(-(2**60)), 7, 0.25, 3, "1/3", [1, 2.0],
+                  {"b": [float("nan"), False]}],
+            "c": {"d": {"e": [str(2**62)]}}}
+    assert json.dumps(ex._jsonable(report)) == json.dumps(want)
 
 
 def test_biased_census_report_summary():

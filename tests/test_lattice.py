@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -209,6 +210,38 @@ def test_enumerate_rejects_a_transform_beyond_float_precision(size):
     stack = np.array([np.eye(2)] * (size - 1) + [[[1.0, 1e20], [0.0, 1.0]]])
     with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
         next(lm.enumerate_stacked(stack, [-1.0, -1.0], [1.0, 1.0]))
+
+
+# each quotient is 2^30, far below 2^53, but the first sweep makes
+# U_1 = e_1 - 2^30 e_0 and then U_2 -= 2^30 U_1, an entry of 2^60
+STAIRS = [[1.0, 2.0**30, 0.0], [0.0, 1.0, 2.0**30], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("size", [1, BIG_STACK])
+def test_lll_raises_before_one_sweep_passes_2_53(size):
+    stack = np.array([np.eye(3)] * (size - 1) + [STAIRS])
+    with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
+        lm._lll_stacked(stack)
+    with pytest.raises(CandidateBudgetExceeded, match="beyond float precision"):
+        next(lm.enumerate_stacked(stack, [-1.0] * 3, [1.0] * 3))
+
+
+@pytest.mark.parametrize("size", [2, BIG_STACK])
+def test_lll_reduces_when_only_the_stack_bound_trips(size):
+    # one basis's quotient 2^40, then another's 2^20 in the same sweep: the
+    # stack's bound (1 + 2^40)(1 + 2^20) reaches 2^53, but no basis's entries
+    # pass 2^40 + 1, so the per-basis test lets both steps through
+    assert (1 + 2**40) * (1 + 2**20) >= lm.U_ENTRY_CAP > 2**40 + 1
+    wide = np.eye(3)
+    wide[0, 1] = 2.0**40
+    tall = np.eye(3)
+    tall[1, 2] = 2.0**20
+    stack = np.array([np.eye(3)] * (size - 2) + [wide, tall])
+    U = lm._lll_stacked(stack)
+    assert np.array_equal(stack @ U, np.broadcast_to(np.eye(3), stack.shape))
+    assert (U[-2, 0, 1], U[-1, 1, 2]) == (-(2**40), -(2**20))
+    which, _, ns = (np.concatenate(part) for part in zip(*lm.enumerate_stacked(stack, [-1.5] * 3, [1.5] * 3)))
+    assert np.array_equal(np.bincount(which, minlength=size), [26] * size)
 
 
 def test_enumerate_flowed_basis_needs_few_candidates_at_t10():
@@ -481,6 +514,33 @@ def test_lex_order_takes_a_key_spanning_more_than_2_63_as_it_is():
     narrow = np.array([1, 2, 3, 0, 0, 2])
     for keys in ([narrow, wide, narrow], [wide, narrow], [narrow, wide]):
         assert np.array_equal(lm._lex_order(keys), np.lexsort(keys[::-1]))
+
+
+def _near(qx: float, r: float) -> list[int]:
+    return [p for p in range(math.floor(qx - r) - 1, math.ceil(qx + r) + 2) if abs(qx - p) <= r]
+
+
+@given(d=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_horo_candidates_come_sorted_by_row_q_p(d, data):
+    # the enumerator's (which, n) order is (row, q, p): no sort of its own
+    rows = data.draw(st.integers(1, 4))
+    xs = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d), min_size=rows, max_size=rows))
+    Cs = data.draw(st.lists(st.floats(0.05, 2.5), min_size=rows, max_size=rows))
+    q_lo = data.draw(st.lists(st.integers(1, 200), min_size=rows, max_size=rows))
+    q_hi = [lo + data.draw(st.integers(-3, 100)) for lo in q_lo]  # empty below 0, one q at 0
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, d), np.int64))
+    row, q, p = (np.concatenate(part) for part in
+                 zip(empty, *lm._horo_candidates(np.array(xs), q_lo, q_hi, Cs)))
+    assert np.array_equal(np.lexsort([*p.T[::-1], q, row]), np.arange(len(row)))
+
+    def hit(i, qq, pp):
+        return all(abs(qq * xj - pj) <= Cs[i] * qq ** (-1.0 / d) for xj, pj in zip(xs[i], pp))
+
+    got = [(i, qq, *pp) for i, qq, pp in zip(row.tolist(), q.tolist(), p.tolist()) if hit(i, qq, pp)]
+    want = [(i, qq, *pp) for i in range(rows) for qq in range(q_lo[i], q_hi[i] + 1)
+            for pp in itertools.product(*(_near(qq * xj, Cs[i] * qq ** (-1.0 / d)) for xj in xs[i]))]
+    assert got == want
 
 
 def test_stacked_expands_a_large_box_in_slices():
