@@ -25,12 +25,12 @@ class EmptyDenominator(RuntimeError):
 
 
 def _jsonable(v):
-    kind = type(v)  # the exact types of most of a report first, then the general rules
+    kind = type(v)  # the exact leaf types of most of a report first, then containers and conversions
     if kind is float or kind is str or kind is bool or v is None:
         return v
-    if kind is dict:
+    if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
-    if kind is list:
+    if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
@@ -38,10 +38,6 @@ def _jsonable(v):
         return str(v)
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
     return v
 
 
