@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
+import functools
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ EXPERIMENTS = ("thm1", "birkhoff", "thm3", "biased-census", "biased-ratio", "non
 
 @dataclass
 class RunConfig:
-    """Everything an experiment run depends on; `to_json` is the `config`
+    """Everything an experiment run depends on; its fields are the `config`
     that every report carries."""
 
     experiment: str
@@ -62,9 +63,6 @@ class RunConfig:
     threads: int = 1
     budget: int = 0  # 0 means the module default
     out: str = "latdir-out"
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -94,35 +92,101 @@ class RunConfig:
         lm.default_budget()  # a bad LATDIR_BUDGET fails here, before any work
 
 
-def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str):
-    """Write the report and, unless `csv_text` yields nothing, the CSV trace
-    from its text chunks, one chunk at a time.  Both are written under
-    temporary names and renamed once the last chunk is in, so a run that
-    fails part way leaves neither file."""
-    out = Path(cfg.out)
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _append_json(obj, out: list, pad: str) -> None:
+    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of `obj` to
+    `out`; `pad` is the newline and indent of the line `obj` starts on.
+
+    Takes str keys and str, int, float, bool, None, dict, list and tuple
+    values, and float subclasses; anything else raises TypeError.  A
+    module-level function, not a closure over `out`, so a call leaves no
+    reference cycle behind."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is float:
+        text = float.__repr__(obj)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")
+            _append_json(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _append_json(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, float):  # numpy's float64 among them
+        _append_json(float(obj), out, pad)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, without the json module's
+    pure-Python encoder that any `indent` falls back to."""
+    out = []
+    _append_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_files(out: Path, files: dict) -> None:
+    """Write each file `out / name` of `files` from its text chunks, and none
+    whose chunks yield nothing.  Every file is written under a temporary name
+    and all are renamed once the last chunk is in, so a write that fails part
+    way leaves none of them."""
     out.mkdir(parents=True, exist_ok=True)
-    report_obj = dict(report_obj)
-    report_obj["config"] = json.loads(cfg.to_json())
-    report_obj["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    path = out / f"{cfg.experiment}-report.json"
-    partial = {path: path.with_name(path.name + ".partial")}
+    partial = {}
     try:
-        partial[path].write_text(json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-        chunks = iter(csv_text)
-        first = next(chunks, "")
-        if first:
-            trace = out / f"{trace_name}.csv"
-            partial[trace] = trace.with_name(trace.name + ".partial")
-            with open(partial[trace], "w", newline="") as fh:
-                fh.write(first)
-                fh.writelines(chunks)
+        for name, text in files.items():
+            chunks = iter(text)
+            first = next(chunks, "")
+            if first:
+                final = out / name
+                partial[final] = final.with_name(name + ".partial")
+                with open(partial[final], "w", newline="") as fh:
+                    fh.write(first)
+                    fh.writelines(chunks)
     except BaseException:
         for tmp in partial.values():
             tmp.unlink(missing_ok=True)
         raise
     for final, tmp in partial.items():
         os.replace(tmp, final)
-    return path
+
+
+def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str) -> Path:
+    """Write the report and, unless `csv_text` yields nothing, the CSV trace
+    from its text chunks, one chunk at a time; a run that fails part way
+    leaves neither file."""
+    report_obj = {**report_obj, "config": dataclasses.asdict(cfg),
+                  "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    name = f"{cfg.experiment}-report.json"
+    _write_files(Path(cfg.out), {name: (_json_text(report_obj), "\n"), f"{trace_name}.csv": csv_text})
+    return Path(cfg.out) / name
 
 
 class _Echo:
@@ -204,14 +268,12 @@ def verify(quick: bool, seed: int | None, out: str | None) -> int:
     print("-" * (width + 30))
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
         # wall-clock fields stay out of the file so reruns diff clean
         rows = [{"criterion": r.criterion, "passed": r.passed, "detail": r.detail}
                 for r in results]
         obj = {"results": rows, "quick": quick, "seed": seed,
                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        (path / "verify-report.json").write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write_files(Path(out), {"verify-report.json": (_json_text(obj), "\n")})
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPTANCE
 
 
@@ -226,7 +288,10 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `latdir` parser, built once a process: each `parse_args` call
+    returns a new namespace, and every default is immutable."""
     ap = argparse.ArgumentParser(prog="latdir",
                                  description="Direction statistics of Dirichlet approximates and lattice points")
     sub = ap.add_subparsers(dest="command", required=True)

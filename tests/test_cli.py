@@ -1,15 +1,27 @@
 import dataclasses
+import errno
+import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latdir import census, cli, siegel
+from latdir import acceptance, census, cli, siegel
 from latdir.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, RunConfig
+
+
+def _is_json_module_text(path: Path) -> bool:
+    """The file is `json.dumps(..., sort_keys=True, indent=2)` and a newline, byte for byte."""
+    text = path.read_bytes().decode("ascii")
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def _strip_timestamp(path: Path) -> dict:
@@ -22,6 +34,18 @@ def test_run_flag_defaults_are_runconfig_defaults():
     args = vars(cli.build_parser().parse_args(["run", "thm1"]))
     del args["command"]
     assert args == dataclasses.asdict(RunConfig(experiment="thm1"))
+
+
+def test_parser_is_built_once_and_runs_keep_their_own_flags(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", "thm1", "--T", "500", "--n", "3", "--seed", "5", "--out", str(a)]) == EXIT_OK
+    # the second run leaves out --seed and --n: the first run's values must not carry over
+    assert cli.main(["run", "thm1", "--T", "400", "--out", str(b)]) == EXIT_OK
+    defaults = dataclasses.asdict(RunConfig(experiment="thm1"))
+    assert json.loads((a / "thm1-report.json").read_text())["config"] == {
+        **defaults, "T": 500.0, "n": 3, "seed": 5, "out": str(a)}
+    assert json.loads((b / "thm1-report.json").read_text())["config"] == {**defaults, "T": 400.0, "out": str(b)}
 
 
 def test_runconfig_validation():
@@ -290,6 +314,7 @@ def test_run_birkhoff(tmp_path):
     assert rc == EXIT_OK
     obj = json.loads((out / "birkhoff-report.json").read_text())
     assert obj["summary"]["additivity_exact"] is True
+    assert _is_json_module_text(out / "birkhoff-report.json")
 
 
 def test_verify_quick(tmp_path, capsys):
@@ -299,6 +324,7 @@ def test_verify_quick(tmp_path, capsys):
     assert "criteria passed" in out
     report = json.loads((tmp_path / "verify-report.json").read_text())
     assert len(report["results"]) == 12
+    assert _is_json_module_text(tmp_path / "verify-report.json")
     skipped = [r for r in report["results"] if "skipped" in r["detail"]]
     assert skipped, "--quick should skip the slow statistical criteria"
 
@@ -338,3 +364,75 @@ def test_write_report_renames_both_files_into_place(tmp_path):
     assert (tmp_path / "thm1-trace.csv").read_bytes() == b"i,x\r\n0,1\r\n"
     cli._write_report(cfg, {"experiment": "thm1"}, iter([]), "thm1-trace")
     assert json.loads(path.read_text())["experiment"] == "thm1"
+
+
+_TRICKY = '"\\[]{},: \x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
+_KEYS = st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=6)
+_LEAVES = st.one_of(
+    _KEYS, st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**53 - 2, max_value=2**70), st.integers(max_value=-2**53),
+    st.floats(), st.floats().map(np.float64), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.just({}), st.just([]), st.just(()))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_report_writer_is_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_writer_nested_100_deep():
+    obj = "leaf"
+    for i in range(50):
+        obj = {"k": [i, obj], "e": {}}
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [np.int64(3)], {"x": [object()]}, {1: "a"}, {"a": 1, 2: "b"}])
+def test_report_writer_rejects_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+
+
+def test_report_writer_leaves_no_garbage():
+    # a self-recursive closure over the chunk list would be a reference cycle
+    # that keeps every report's text alive until the cyclic GC runs
+    obj = {"records": [{"x": [0.5, np.float64(0.25)], "q": "12345678901234567890"}] * 50, "ok": True}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._json_text(obj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class _FullDisk:
+    """A file that writes part of the first chunk, then fails as a full disk does."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.fh = open(path, *args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_verify_report_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # a write that fails part way must not leave a truncated verify-report.json behind
+    result = acceptance.CheckResult("1 criterion", True, "ok", 0.0)
+    monkeypatch.setattr(cli.acc, "run_all", lambda quick, seed: [result])
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        cli.main(["verify", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
