@@ -17,10 +17,11 @@ rather than being dropped.
 
 The CSV rows are `CensusRows`, a view whose exact length comes from the pieces,
 so `ROW_TOTAL_CAP` is checked before any row exists.  The CSV text is streamed
-a block of rows at a time: within a run of rows only m and q = q_n m + r
-change, both in arithmetic progression, so `_run_text` formats a block as
-one uint8 array, the numbers written in base-10^8 limbs with int64 carries
-and their digits read off a table of 4-digit groups.
+a block of rows at a time, as bytes: within a run of rows only m and
+q = q_n m + r change, both in arithmetic progression, so `_run_text` makes a
+block as one uint8 array of ASCII from a template row, m's last four digits
+a slice of a table of 4-digit groups and q written in base-10^8 limbs with
+one int64 carry pass, its digits read off the same table.
 
 The independent oracle `brute_force_in_R` scans every q instead: the float
 screen `rotation_screen`, under an error bound proven in its docstring,
@@ -116,11 +117,13 @@ ROW_FULL_CAP = 512      # emit every candidate row when a_{n+1} is this small
 ROW_TOTAL_CAP = 500_000
 ROW_FIELDS = ("n", "r_label", "r", "m", "q", "in_R", "sign")
 # most rows in one block of CSV text (and ROW_SLICE * 10^8 <= 2^62, see
-# `_digits`).  On a 2-vCPU VM (Python 3.11, numpy 2.4) the level-9 text took
-# 0.014-0.016 s at 1,024 and 0.022 s at 512; 2,048 and 4,096 were no faster,
-# while the tracemalloc peak of `csv_text` doubled with each step (0.39 MB at
-# 1,024, 1.55 MB at 4,096) and 4,096 cost the level-9 run 1.0 MB more peak RSS
-ROW_SLICE = 1024
+# `_digits`).  A block also ends at each multiple of GROUP of m, so 2,500
+# cuts a long run's 10^4-row stretches into four equal blocks.  On a 2-vCPU
+# VM (Python 3.11, numpy 2.4) the level-9 text took 9.0-11.5 ms at 2,000 and
+# 2,500 rows, 10.3-13.8 ms at 1,000 and 11.6-18.1 ms at 4,096 (medians of
+# 25 passes, in rounds), and the tracemalloc peak of `csv_text` grows with
+# the block: 0.26 MB at 1,000, 0.64 MB at 2,500 and 1.04 MB at 4,096
+ROW_SLICE = 2500
 
 
 class RowCapExceeded(RuntimeError):
@@ -263,38 +266,47 @@ class CensusRows:
                 yield level.n, cls.label, cls.r, m, level.q_n * m + cls.r, in_R, s
 
     def csv_text(self):
-        """The CSV file as `csv.writer` writes the header and these rows, in
-        chunks of at most ROW_SLICE rows: the blocks of `_run_text`, one
+        """The CSV file as `csv.writer` writes the header and these rows, as
+        bytes: the header, then the uint8 row blocks of `_run_text`, one
         signed run after another."""
-        yield ",".join(ROW_FIELDS) + "\r\n"
+        yield ",".join(ROW_FIELDS).encode() + b"\r\n"
         for level, cls, a, b, in_R, s in self._signed_runs():
-            yield from _run_text(f"{level.n},{cls.label},{cls.r},", level.q_n, cls.r,
-                                 a, b, f",{in_R},{s}\r\n")
+            yield from _run_text(f"{level.n},{cls.label},{cls.r},".encode(), level.q_n, cls.r,
+                                 a, b, f",{in_R},{s}\r\n".encode())
 
 
-#: base of the limbs `_digits` writes a number in
+#: base of the limbs `_digits` writes q in
 LIMB = 10**8
+#: m's last four digits are read off `_digit_table`, so a block of
+#: `_run_text` ends where m reaches a multiple of GROUP
+GROUP = 10**4
 
 
-def _run_text(head: str, qn: int, r: int, a: int, b: int, tail: str):
-    """The CSV text f"{head}{m},{qn * m + r}{tail}" of m = a..b, yielded in
-    blocks of at most ROW_SLICE rows in which m and q = qn m + r keep their
-    decimal widths, so that every column of a block's (rows, width) uint8
-    array holds one field's byte or one digit of m or q."""
-    head, tail = head.encode(), tail.encode()
+def _run_text(head: bytes, qn: int, r: int, a: int, b: int, tail: bytes):
+    """The CSV text f"{head}{m},{qn * m + r}{tail}" of m = a..b as (rows, width)
+    uint8 arrays of ASCII, one a block of rows.
+
+    A block has at most ROW_SLICE rows and ends where m or q = qn m + r gains
+    a digit or m reaches a multiple of GROUP, so m and q keep their decimal
+    widths and every column holds one field's byte or one digit.  The block starts
+    as its template row repeated: head, str(m) of its first row (the digits
+    above the last four stay fixed), and tail.  The last four digits of m are
+    a contiguous slice of `_digit_table`; those of q come from `_digits`."""
     m = a
     while m <= b:
         q = qn * m + r
-        wm, wq = len(str(m)), len(str(q))
-        end = min(b + 1, m + ROW_SLICE, 10**wm, (10**wq - r + qn - 1) // qn)
-        rows, km, kq = end - m, -(-wm // 8), -(-wq // 8)
-        digits = _digits(_limbs(m, km) + _limbs(q, kq), _limbs(1, km) + _limbs(qn, kq), rows)
+        sm = str(m)
+        wm, wq = len(sm), len(str(q))
+        end = min(b + 1, m + ROW_SLICE, 10**wm, m - m % GROUP + GROUP,
+                  (10**wq - r + qn - 1) // qn)
+        rows, low, k = end - m, min(wm, 4), -(-wq // 8)
         c = len(head) + wm + 1
-        buf = np.empty((rows, c + wq + len(tail)), np.uint8)
-        buf[:] = np.frombuffer(head + b"0" * wm + b"," + b"0" * wq + tail, np.uint8)
-        buf[:, len(head):c - 1] = digits[:, 8 * km - wm:8 * km]
-        buf[:, c:c + wq] = digits[:, 8 * (km + kq) - wq:]
-        yield buf.tobytes().decode("ascii")
+        template = head + sm.encode() + b"," + b"0" * wq + tail
+        buf = np.frombuffer(bytearray(template) * rows, np.uint8).reshape(rows, -1)
+        lo = m % GROUP
+        buf[:, c - 1 - low:c - 1] = _digit_table()[lo:lo + rows].view(np.uint8).reshape(rows, 4)[:, 4 - low:]
+        buf[:, c:c + wq] = _digits(_limbs(q, k), _limbs(qn, k), rows)[:, 8 * k - wq:]
+        yield buf
         m = end
 
 
@@ -304,31 +316,33 @@ def _limbs(v: int, k: int) -> list[int]:
 
 
 def _digits(start: list[int], step: list[int], rows: int) -> np.ndarray:
-    """(rows, 8 k) uint8: the ASCII digits of the k limbs of start + j step, j < rows.
+    """(rows, 8 k) uint8: the ASCII digits of s + j t, j < rows, in k limbs.
 
-    `start` and `step` hold, side by side, the base-B limbs (B = LIMB = 10^8,
-    most significant first) of numbers s + j t, each in as many limbs as its
-    largest value needs.  Limb i starts as x_i = j t_i + s_i; a round of the
-    carry loop reduces each limb mod B and adds its carry to limb i - 1.
+    `start` and `step` hold the k base-B limbs (B = LIMB = 10^8, most
+    significant first) of s and t, where s + (rows - 1) t < B^k.  Limb i
+    starts as x_i = j t_i + s_i; one carry pass from the least significant
+    limb then reduces each limb mod B and adds its carry c_i = x_i // B to
+    limb i - 1, which is schoolbook addition, so the value is kept and every
+    limb ends in [0, B).
 
     Every value fits int64, whatever the size of the numbers.  With
-    S = ROW_SLICE >= rows, x_i <= (S - 1)(B - 1) + (B - 1) < S B at first,
-    so a carry is below S and a reduced limb plus a carry below B + S <= S B:
-    every limb, carry and carry times B stays below S B <= 2^62.  No carry
-    leaves a number: while its value is below B^k its top limb is below B
-    and carries nothing, so a round keeps the value.  Each unit carried
-    lowers the sum of the limbs by B - 1, so the loop ends.  A limb is then
-    two 4-digit groups, read off `_digit_table`.
+    S = ROW_SLICE >= rows, x_i <= (S - 1)(B - 1) + (B - 1) = S (B - 1) at
+    first.  The least significant limb takes no carry; if limb i takes a
+    carry c <= S - 1, it reaches at most S (B - 1) + S - 1 = S B - 1 and
+    passes on a carry of at most S - 1.  So every limb, carry and carry
+    times B stays below S B <= 2^62.  A limb is then two 4-digit groups,
+    read off `_digit_table`.
     """
     if ROW_SLICE * LIMB > 1 << 62:
         raise ValueError(f"ROW_SLICE = {ROW_SLICE} lets a limb overflow int64")
     x = np.array(step)[:, None] * np.arange(rows, dtype=np.int64) + np.array(start)[:, None]
-    while (x >= LIMB).any():
-        carry = x // LIMB
-        x -= carry * LIMB
-        x[:-1] += carry[1:]
+    for i in range(len(start) - 1, 0, -1):
+        carry = x[i] // LIMB
+        x[i] -= carry * LIMB
+        x[i - 1] += carry
     hi = x // 10**4
-    groups = np.stack([hi, x - hi * 10**4], axis=1).transpose(2, 0, 1)  # (rows, k, 2)
+    x -= hi * 10**4
+    groups = np.stack([hi, x], axis=1).transpose(2, 0, 1)  # (rows, k, 2)
     return _digit_table().take(groups).view(np.uint8).reshape(rows, -1)
 
 

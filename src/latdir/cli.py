@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -154,22 +155,23 @@ def _json_text(obj) -> str:
 
 
 def _write_files(out: Path, files: dict) -> None:
-    """Write each file `out / name` of `files` from its text chunks, and none
-    whose chunks yield nothing.  Every file is written under a temporary name
-    and all are renamed once the last chunk is in, so a write that fails part
-    way leaves none of them."""
+    """Write each file `out / name` of `files` from its chunks, and none whose
+    first chunk is empty.  A chunk is bytes-like (bytes, or a numpy uint8
+    block), written as it is, or str, encoded as UTF-8.  Every file is
+    written in binary mode under a temporary name and all are renamed once
+    the last chunk is in, so a write that fails part way leaves none of them."""
     out.mkdir(parents=True, exist_ok=True)
     partial = {}
     try:
         for name, text in files.items():
             chunks = iter(text)
             first = next(chunks, "")
-            if first:
+            if len(first):
                 final = out / name
                 partial[final] = final.with_name(name + ".partial")
-                with open(partial[final], "w", newline="") as fh:
-                    fh.write(first)
-                    fh.writelines(chunks)
+                with open(partial[final], "wb") as fh:
+                    for chunk in chain((first,), chunks):
+                        fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
     except BaseException:
         for tmp in partial.values():
             tmp.unlink(missing_ok=True)
@@ -179,9 +181,9 @@ def _write_files(out: Path, files: dict) -> None:
 
 
 def _write_report(cfg: RunConfig, report_obj: dict, csv_text, trace_name: str) -> Path:
-    """Write the report and, unless `csv_text` yields nothing, the CSV trace
-    from its text chunks, one chunk at a time; a run that fails part way
-    leaves neither file."""
+    """Write the report and, unless `csv_text`'s first chunk is empty, the CSV
+    trace from its chunks (str lines or bytes-like blocks), one chunk at a
+    time; a run that fails part way leaves neither file."""
     report_obj = {**report_obj, "config": dataclasses.asdict(cfg),
                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     name = f"{cfg.experiment}-report.json"

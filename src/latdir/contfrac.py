@@ -105,36 +105,40 @@ class CFNumber:
     def __init__(self, rule: Callable[[int], int] | None, *, elements: Sequence[int] = (), name: str = ""):
         self._rule = rule
         self.name = name
-        # index i of these lists holds data for n = i - 1 (so list[0] is n = -1)
+        # index i of these lists holds data for n = i - 1 (so list[0] is n = -1);
+        # the convergents may stop short of the elements, see `_ensure`
         self._a: list[int] = [0, 0]  # placeholders for n = -1, 0 (no elements there)
         self._p: list[int] = [1, 0]
         self._q: list[int] = [0, 1]
         for k, a in enumerate(elements, start=1):
-            self._append(k, int(a))
+            self._a.append(_checked_element(k, int(a)))
 
-    def _append(self, n: int, a: int) -> None:
-        if a < 1:
-            raise ValueError(f"continued fraction element a_{n} = {a} must be >= 1")
-        self._a.append(a)
-        self._p.append(a * self._p[-1] + self._p[-2])
-        self._q.append(a * self._q[-1] + self._q[-2])
-
-    def _ensure(self, n: int) -> None:
-        """Materialize elements 1..n (and convergents up to index n)."""
-        while len(self._a) - 2 < n:
-            k = len(self._a) - 1
+    def _ensure_elements(self, n: int) -> None:
+        """Materialize elements 1..n."""
+        a = self._a
+        while len(a) - 2 < n:
+            k = len(a) - 1
             if self._rule is None:
                 raise ElementsExhausted(f"element a_{k} requested but only a finite prefix was given")
-            self._append(k, int(self._rule(k)))
+            a.append(_checked_element(k, int(self._rule(k))))
+
+    def _ensure(self, n: int) -> None:
+        """Materialize elements 1..n and convergents up to index n; convergents
+        are built here, only as deep as they are read."""
+        self._ensure_elements(n)
+        a, p, q = self._a, self._p, self._q
+        for i in range(len(q), n + 2):
+            p.append(a[i] * p[-1] + p[-2])
+            q.append(a[i] * q[-1] + q[-2])
 
     def element(self, n: int) -> int:
         if n < 1:
             raise ValueError("elements are indexed from 1")
-        self._ensure(n)
+        self._ensure_elements(n)
         return self._a[n + 1]
 
     def elements(self, n: int) -> list[int]:
-        self._ensure(n)
+        self._ensure_elements(n)
         return self._a[2:n + 2]
 
     def convergent(self, n: int) -> Convergent:
@@ -183,6 +187,12 @@ class CFNumber:
         head = ",".join(str(a) for a in self._a[2:min(known, 6) + 2])
         label = self.name or "CFNumber"
         return f"{label}[0;{head},...]"
+
+
+def _checked_element(n: int, a: int) -> int:
+    if a < 1:
+        raise ValueError(f"continued fraction element a_{n} = {a} must be >= 1")
+    return a
 
 
 # -- the element sequences used throughout ----------------------------------

@@ -238,7 +238,7 @@ def _csv_writer_text(rows):
 @pytest.mark.parametrize("n_max", [1, 3, 5, 7, 9])
 def test_csv_text_is_the_csv_writer_text(n_max):
     rows = cns.build_census(n_max).rows
-    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+    assert b"".join(rows.csv_text()) == _csv_writer_text(rows).encode()
 
 
 BIG_ELEMENT = st.integers(cns.ROW_FULL_CAP + 1, 20 * cns.ROW_FULL_CAP)
@@ -254,11 +254,28 @@ def test_csv_text_matches_csv_writer_on_random_numbers(a1, rest):
     elements = [a1, *rest]
     cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)])
     rows = cns.build_census(5, cf=cf).rows
-    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+    assert b"".join(rows.csv_text()) == _csv_writer_text(rows).encode()
 
 
 def _f_string_rows(head, qn, r, a, b, tail):
-    return "".join(f"{head}{m},{qn * m + r}{tail}" for m in range(a, b + 1))
+    return "".join(f"{head}{m},{qn * m + r}{tail}" for m in range(a, b + 1)).encode()
+
+
+def _run_blocks(head, qn, r, a, b, tail):
+    """The blocks of `_run_text` for str head and tail, checked to be (rows,
+    width) uint8 arrays of at most ROW_SLICE rows, each row one line, that
+    stay between two multiples of GROUP of m."""
+    blocks = list(cns._run_text(head.encode(), qn, r, a, b, tail.encode()))
+    m = a
+    for block in blocks:
+        assert block.dtype == np.uint8 and block.ndim == 2
+        assert 0 < len(block) <= cns.ROW_SLICE
+        assert bytes(block).count(b"\n") == len(block)
+        assert (block[:, -1] == ord("\n")).all()
+        assert m // cns.GROUP == (m + len(block) - 1) // cns.GROUP
+        m += len(block)
+    assert m == b + 1
+    return blocks
 
 
 HEADS = st.sampled_from(["0,unit,0,", "9,q_{n-1},231285490474283793,", "3,2q_{n-1},34,"])
@@ -282,20 +299,48 @@ def test_run_text_is_the_f_string_text(head, tail, which, e, before, rows, qn, r
     a = 10**e - before if which == "m" else -((r - 10**e) // qn) - before
     a = max(a, 1)
     b = a + rows - 1
-    chunks = list(cns._run_text(head, qn, r, a, b, tail))
-    assert "".join(chunks) == _f_string_rows(head, qn, r, a, b, tail)
-    assert all(0 < chunk.count("\n") <= cns.ROW_SLICE for chunk in chunks)
+    blocks = _run_blocks(head, qn, r, a, b, tail)
+    assert b"".join(blocks) == _f_string_rows(head, qn, r, a, b, tail)
+
+
+@given(HEADS, TAILS, st.integers(1, 10**12), st.sampled_from([1, 7, 10**5 - 1, 10**12 + 3]),
+       CROSSING, st.integers(1, 2 * cns.ROW_SLICE + 3), st.integers(1, 10**40), st.integers(0, 10**40))
+@example(",", ",\r\n", 3, 1, cns.ROW_SLICE, cns.ROW_SLICE + 1, 10**20 // 30_000 + 1, 0)
+@example(",", ",\r\n", 1, 1, 1, 3 * cns.ROW_SLICE, 1, 0)
+@example(",", ",\r\n", 99_999, 1, cns.GROUP - 1, 2 * cns.GROUP + 5, 99, 98)
+@settings(max_examples=60, deadline=None)
+def test_run_text_crosses_a_multiple_of_group(head, tail, j, scale, before, rows, qn, r):
+    # a run whose m passes the multiple j * scale * GROUP (most of them not
+    # powers of ten) `before` rows after its start: m's leading digits come
+    # from each block's template, so a block must end there
+    r %= qn
+    a = max(j * scale * cns.GROUP - before, 1)
+    b = a + rows - 1
+    blocks = _run_blocks(head, qn, r, a, b, tail)
+    assert b"".join(blocks) == _f_string_rows(head, qn, r, a, b, tail)
 
 
 def test_run_text_crosses_widths_inside_a_slice():
-    # within one slice, m crosses 10^8 and then q = qn m crosses 10^20
+    # within one slice, m crosses 10^8 (a width change and a multiple of
+    # GROUP) and then q = qn m crosses 10^20; the blocks end at both
     qn = 10**20 // (10**8 + 5) + 1
     a = 10**8 - 3
     m20 = -(-(10**20) // qn)
     assert 10**8 < m20 < a + 20
-    chunks = list(cns._run_text("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n"))
-    assert "".join(chunks) == _f_string_rows("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n")
-    assert [chunk.count("\n") for chunk in chunks] == [3, m20 - 10**8, a + 21 - m20]
+    blocks = _run_blocks("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n")
+    assert b"".join(blocks) == _f_string_rows("1,q~,0,", qn, 0, a, a + 20, ",True,1\r\n")
+    assert [len(block) for block in blocks] == [3, m20 - 10**8, a + 21 - m20]
+
+
+def test_run_text_cuts_at_a_multiple_of_group_inside_a_slice():
+    # m = 29,990 .. 30,020 stays 5 digits wide, and q = qn m crosses 10^15
+    # at m = 30,005: the blocks end at m = 30,000 (a multiple of GROUP, not
+    # a width change) and at 30,005
+    qn = -(-(10**15) // 30_005)
+    assert qn * 30_004 < 10**15 <= qn * 30_005
+    blocks = _run_blocks("5,0,0,", qn, 0, 29_990, 30_020, ",False,-1\r\n")
+    assert b"".join(blocks) == _f_string_rows("5,0,0,", qn, 0, 29_990, 30_020, ",False,-1\r\n")
+    assert [len(block) for block in blocks] == [10, 5, 16]
 
 
 @pytest.mark.parametrize("elements", [None, [600, 4, 600, 3, 2_000, 2, 5_000]])
@@ -316,7 +361,7 @@ def test_run_text_carries_through_a_limb_of_nines():
     # m = q = 2 10^16 - 5 .. 2 10^16 + 5: the low limb's carry makes the
     # middle limb 99,999,999 reach 10^8, which carries again
     a, b = 2 * 10**16 - 5, 2 * 10**16 + 5
-    assert "".join(cns._run_text("0,unit,0,", 1, 0, a, b, ",True,1\r\n")) == \
+    assert b"".join(_run_blocks("0,unit,0,", 1, 0, a, b, ",True,1\r\n")) == \
         _f_string_rows("0,unit,0,", 1, 0, a, b, ",True,1\r\n")
 
 
@@ -324,7 +369,7 @@ def test_limb_bound_fails_loudly(monkeypatch):
     # ROW_SLICE * 10^8 must stay within 2^62 for the int64 limbs to be exact
     monkeypatch.setattr(cns, "ROW_SLICE", (1 << 62) // cns.LIMB + 1)
     with pytest.raises(ValueError, match="ROW_SLICE"):
-        next(cns._run_text("", 3, 1, 1, 2, "\r\n"))
+        next(cns._run_text(b"", 3, 1, 1, 2, b"\r\n"))
 
 
 def test_csv_text_of_a_census_with_a_huge_element():
@@ -336,7 +381,7 @@ def test_csv_text_of_a_census_with_a_huge_element():
     cf = CFNumber.from_elements(elements, rule=lambda n: elements[(n - 1) % len(elements)])
     rows = cns.build_census(3, cf=cf).rows
     assert (1, "q_{n-1}", 1, 999_999_999, 3_999_999_997, True, 1) in set(rows)
-    assert "".join(rows.csv_text()) == _csv_writer_text(rows)
+    assert b"".join(rows.csv_text()) == _csv_writer_text(rows).encode()
 
 
 # The level-9 CSV is 4.66 MB of text.  Written a run slice (ROW_SLICE rows) at

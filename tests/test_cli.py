@@ -366,6 +366,34 @@ def test_write_report_renames_both_files_into_place(tmp_path):
     assert json.loads(path.read_text())["experiment"] == "thm1"
 
 
+_LINES = ["n,r_label,r,m,q,in_R,sign\r\n", "0,unit,0,1,1,True,1\r\n", "0,unit,0,2,2,False,-1\r\n"]
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "numpy"])
+def test_write_files_takes_str_bytes_and_numpy_blocks_alike(tmp_path, kind):
+    # the census CSV comes as uint8 row blocks, other traces as str lines;
+    # the same text makes the same file bytes either way
+    make = {"str": str, "bytes": str.encode,
+            "numpy": lambda line: np.frombuffer(line.encode(), np.uint8).reshape(1, -1)}[kind]
+    blocks = [make(line) for line in _LINES]
+    cli._write_files(tmp_path, {"a.csv": iter(blocks), "b.json": ("{}", "\n"), "empty.csv": iter([])})
+    assert (tmp_path / "a.csv").read_bytes() == "".join(_LINES).encode()
+    assert (tmp_path / "b.json").read_bytes() == b"{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+
+
+def test_a_numpy_block_trace_that_fails_part_way_leaves_no_file(tmp_path):
+    def blocks():
+        yield np.frombuffer(b"n,m\r\n1,2\r\n", np.uint8).reshape(2, -1)
+        yield np.frombuffer(b"1,3\r\n", np.uint8).reshape(1, -1)
+        raise RuntimeError("census failed")
+
+    cfg = RunConfig(experiment="biased-census", out=str(tmp_path))
+    with pytest.raises(RuntimeError, match="census failed"):
+        cli._write_report(cfg, {"experiment": "biased-census"}, blocks(), "biased-census-rows")
+    assert not list(tmp_path.iterdir())
+
+
 _TRICKY = '"\\[]{},: \x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
 _KEYS = st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=6)
 _LEAVES = st.one_of(

@@ -353,6 +353,36 @@ def test_finite_prefix_exhausts():
         cf.element(4)
 
 
+def test_given_prefix_builds_convergents_only_as_read():
+    rng = random.Random(5)
+    elements = [rng.randint(1, 9) for _ in range(10**5)]
+    lazy = CFNumber.from_elements(elements)
+    assert len(lazy._q) == 2  # the seeds q_{-1}, q_0 only
+    assert lazy.element(10**5) == elements[-1]
+    assert len(lazy._q) == 2
+    eager = CFNumber(None)
+    for k, a in enumerate(elements[:301], start=1):
+        eager._a.append(a)
+        eager._p.append(a * eager._p[-1] + eager._p[-2])
+        eager._q.append(a * eager._q[-1] + eager._q[-2])
+    assert lazy.convergent(7) == eager.convergent(7)
+    assert len(lazy._q) == 9
+    assert lazy.convergents(300) == eager.convergents(300)
+    assert lazy.enclosure_at(299) == eager.enclosure_at(299)
+    with pytest.raises(ElementsExhausted):
+        lazy.convergent(10**5 + 1)
+    with pytest.raises(ElementsExhausted):
+        lazy.element(10**5 + 1)
+
+
+@pytest.mark.parametrize("where", [1, 2, 50_000, 10**5])
+def test_a_bad_element_anywhere_in_a_prefix_raises_at_construction(where):
+    elements = [3] * 10**5
+    elements[where - 1] = 0
+    with pytest.raises(ValueError, match=f"element a_{where} = 0 must be >= 1"):
+        CFNumber.from_elements(elements)
+
+
 def test_prefix_cap_guard():
     b = biased_number()
     with pytest.raises(PrefixCapExceeded):
