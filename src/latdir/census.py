@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import groupby
 
 import numpy as np
@@ -251,14 +251,36 @@ class CensusRows:
         return sum(b - a + 1 for _, _, a, b, _, _ in self._runs())
 
     def _signed_runs(self):
-        """`_runs` with each sign-0 run cut into runs of one exact `_row_sign`."""
+        """`_runs` with each sign-0 run cut into runs of one exact `_row_sign`.
+
+        At level 0 the sign is that of m.x, the representative in
+        (-1/2, 1/2), which jumps each time m x passes a half-integer, so
+        each row is decided on its own.  At a level n >= 1 it is the sign of
+        q x - p = m (q_n x - p_n) + (r x - p_r), an affine function of m that
+        is never 0 (x is irrational and q >= 1).  So along a run it changes
+        sign at most once: both ends are decided, and where they differ the
+        last row of the first sign is found by bisection, in about
+        log2(b - a) more decisions instead of one a row."""
         for level, cls, a, b, in_R, s in self._runs():
             if s:
                 yield level, cls, a, b, in_R, s
                 continue
-            for s, ms in groupby(range(a, b + 1), lambda m: _row_sign(self.enc, level, cls, m)):
-                ms = list(ms)
-                yield level, cls, ms[0], ms[-1], in_R, s
+            sign = partial(_row_sign, self.enc, level, cls)
+            if level.n == 0:
+                for s, ms in groupby(range(a, b + 1), sign):
+                    ms = list(ms)
+                    yield level, cls, ms[0], ms[-1], in_R, s
+                continue
+            first, last = sign(a), sign(b)
+            if first == last:
+                yield level, cls, a, b, in_R, first
+                continue
+            lo, hi = a, b  # sign(lo) == first != sign(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if sign(mid) == first else (lo, mid)
+            yield level, cls, a, lo, in_R, first
+            yield level, cls, hi, b, in_R, last
 
     def __iter__(self):
         for level, cls, a, b, in_R, s in self._signed_runs():

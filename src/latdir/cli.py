@@ -97,11 +97,14 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _append_json(obj, out: list, pad: str) -> None:
-    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of `obj` to
-    `out`; `pad` is the newline and indent of the line `obj` starts on.
+    """Append the `json.dumps(experiments._jsonable(obj), sort_keys=True,
+    indent=2)` text of `obj` to `out`; `pad` is the newline and indent of the
+    line `obj` starts on.
 
     Takes str keys and str, int, float, bool, None, dict, list and tuple
-    values, and float subclasses; anything else raises TypeError.  A
+    values, float subclasses, and the numpy scalars and Fractions that
+    `experiments._json_leaf` converts, which it converts as it writes, so a
+    report is walked once; anything else raises TypeError.  A
     module-level function, not a closure over `out`, so a call leaves no
     reference cycle behind."""
     kind = type(obj)
@@ -110,7 +113,7 @@ def _append_json(obj, out: list, pad: str) -> None:
     elif kind is float:
         text = float.__repr__(obj)
         out.append(_FLOAT_WORDS.get(text, text))
-    elif kind is int:
+    elif kind is int and -ex._EXACT_INT <= obj <= ex._EXACT_INT:  # a larger one is `_json_leaf`'s
         out.append(int.__repr__(obj))
     elif kind is dict:
         if not obj:
@@ -143,12 +146,15 @@ def _append_json(obj, out: list, pad: str) -> None:
     elif isinstance(obj, float):  # numpy's float64 among them
         _append_json(float(obj), out, pad)
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        leaf = ex._json_leaf(obj)
+        if leaf is obj:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        _append_json(leaf, out, pad)
 
 
 def _json_text(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, without the json module's
-    pure-Python encoder that any `indent` falls back to."""
+    """`json.dumps(_jsonable(obj), sort_keys=True, indent=2)`, without the
+    json module's pure-Python encoder that any `indent` falls back to."""
     out = []
     _append_json(obj, out, "\n")
     return "".join(out)
@@ -224,13 +230,13 @@ def run(cfg: RunConfig) -> int:
     if cfg.experiment == "thm1":
         rep = ex.direction_frequency_experiment(cfg.d, cfg.n, cfg.T, _direction_set(cfg),
                                                 norm=cfg.norm, C=C, seed=cfg.seed)
-        _write_report(cfg, rep.to_obj(), _table(rep.records), "thm1-trace")
+        _write_report(cfg, rep.fields(), _table(rep.records), "thm1-trace")
     elif cfg.experiment == "birkhoff":
         x = cfg.x if cfg.x >= 0 else float(np.random.default_rng(cfg.seed).random())
         rep = ex.shell_average_experiment(x, cfg.N, c=cfg.c, A=parse_direction_set(cfg.A, 1),
                                           norm=cfg.norm)
         rep.seed = cfg.seed
-        _write_report(cfg, rep.to_obj(), _table(rep.records), "birkhoff-trace")
+        _write_report(cfg, rep.fields(), _table(rep.records), "birkhoff-trace")
     elif cfg.experiment == "thm3":
         lat = lm.Lattice(np.eye(cfg.d + 1))
         r = sg.thm3_ratio(lat, _direction_set(cfg), eps=float(Fraction(cfg.eps)), t=cfg.t,
@@ -242,19 +248,19 @@ def run(cfg: RunConfig) -> int:
         print(f"ratio = {r.ratio:.4f} +- {r.stderr:.4f} (vol(A) = {r.vol_reference})")
     elif cfg.experiment == "biased-census":
         rep, census = ex.biased_census(cfg.nmax)
-        _write_report(cfg, rep.to_obj(), census.rows.csv_text(), "biased-census-rows")
+        _write_report(cfg, rep.fields(), census.rows.csv_text(), "biased-census-rows")
         print("L_n:", rep.summary["L"], "thresholds:", rep.summary["thresholds"])
     elif cfg.experiment == "biased-ratio":
         A = parse_direction_set(cfg.A or "sign:-1", 1)
         rep = ex.biased_ratio(A=A, eps=Fraction(cfg.eps), n_max=cfg.nmax)
-        _write_report(cfg, rep.to_obj(), _table(rep.records), "biased-ratio-trace")
+        _write_report(cfg, rep.fields(), _table(rep.records), "biased-ratio-trace")
         print("final ratio:", rep.summary["final_ratio"])
     elif cfg.experiment == "nonminimal":
         from .contfrac import biased_number
         alpha = cfg.x if cfg.x >= 0 else float(biased_number())
         rep = ex.nonminimal_experiment(cfg.d, alpha, cfg.T, C=C, norm="euclidean",
                                        probe_cap=parse_direction_set(cfg.A, cfg.d))
-        _write_report(cfg, rep.to_obj(), _table(rep.records), "nonminimal-trace")
+        _write_report(cfg, rep.fields(), _table(rep.records), "nonminimal-trace")
         print("max diagonal residual:", rep.summary["max_diagonal_residual"])
     return EXIT_OK
 

@@ -24,6 +24,20 @@ class EmptyDenominator(RuntimeError):
     """A ratio was requested over a window containing no census points."""
 
 
+_EXACT_INT = 2**53  # JSON readers take numbers as doubles: a larger |int| is written as a string
+
+
+def _json_leaf(v):
+    """A report leaf as JSON takes it: a numpy scalar as its Python number,
+    a Fraction and an int beyond +-2^53 as a decimal string, anything else
+    as it is.  `_jsonable` and the CLI's report writer share these rules."""
+    if isinstance(v, (np.floating, np.integer)):
+        v = v.item()
+    if (isinstance(v, int) and abs(v) > _EXACT_INT) or isinstance(v, Fraction):
+        return str(v)
+    return v
+
+
 def _jsonable(v):
     kind = type(v)  # the exact leaf types of most of a report first, then containers and conversions
     if kind is float or kind is str or kind is bool or v is None:
@@ -32,13 +46,7 @@ def _jsonable(v):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
-    if isinstance(v, int) and abs(v) > 2**53:
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+    return _json_leaf(v)
 
 
 @dataclass
@@ -49,10 +57,13 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
     seed: int | None = None
 
+    def fields(self) -> dict:
+        """The fields as held, before `_jsonable`; the CLI's writer converts them as it writes."""
+        return {"experiment": self.experiment, "params": self.params, "seed": self.seed,
+                "records": self.records, "summary": self.summary}
+
     def to_obj(self) -> dict:
-        return {"experiment": self.experiment, "params": _jsonable(self.params),
-                "seed": self.seed, "records": _jsonable(self.records),
-                "summary": _jsonable(self.summary)}
+        return _jsonable(self.fields())
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +230,13 @@ def biased_ratio(T_list=None, A: DirectionSet | None = None, eps=0, n_max: int =
 # ---------------------------------------------------------------------------
 # degenerate directions from an integer relation
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, bit for bit np.linalg.norm of the row: a
+    stacked vector-vector matmul takes the same BLAS dot (an elementwise sum
+    of squares rounds differently where the dot fuses multiply-adds)."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+
+
 def nonminimal_experiment(d: int, x_base, T: float, C: float | None = None,
                           norm: str = "euclidean", q_min: int = 100,
                           probe_cap: DirectionSet | None = None) -> ExperimentReport:
@@ -239,12 +257,11 @@ def nonminimal_experiment(d: int, x_base, T: float, C: float | None = None,
     max_rel = 0.0
     n_large = 0
     cap_hits_large = 0
-    for q, v1, unit in res.witnesses:
-        if unit is None:
-            continue
-        u = np.array(unit)
-        resid = min(float(np.linalg.norm(u - w)), float(np.linalg.norm(u + w)))
-        rel = abs(float(u[0] - u[1]))
+    kept = [(q, unit) for q, _, unit in res.witnesses if unit is not None]
+    U = np.array([unit for _, unit in kept], dtype=float).reshape(-1, d)
+    resids = np.minimum(_row_norms(U - w), _row_norms(U + w)).tolist()
+    rels = np.abs(U[:, 0] - U[:, 1]).tolist()
+    for (q, unit), u, resid, rel in zip(kept, U, resids, rels):
         in_probe = bool(probe_cap.contains(u)) if probe_cap is not None else None
         report.records.append({"q": q, "direction": list(unit),
                                "diagonal_residual": resid, "relation_residual": rel,

@@ -391,17 +391,17 @@ ENUM_CHUNK = 2048  # candidates expanded at once, so memory does not grow with t
 
 
 def _points(nf: np.ndarray, Bs: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """nf @ Bs[k].T row by row, as one BLAS product per run of equal k (k is
-    sorted), so a point rounds the same however its box is cut into chunks.
-    numpy sends a one-row product to gemv, which rounds differently from
-    gemm; such a row is doubled."""
-    pts = np.empty_like(nf)
-    if not len(k):
-        return pts
-    cuts = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        B = Bs[k[a]]
-        pts[a:b] = nf[a:b] @ B.T if b - a > 1 else (nf[[a, a]] @ B.T)[:1]
+    """The point of each row: the fixed-order sum nf[i, 0] B[:, 0] + ... +
+    nf[i, D-1] B[:, D-1] on its own basis B = Bs[k[i]], left to right, each
+    term one float multiply and one add (no BLAS, no fused multiply-add).
+    So a point's bits depend on its coordinates and basis alone, not on the
+    chunk it is formed in nor on the machine's BLAS kernel.  No pinned count
+    rests on those last bits: the enumeration and counting regression
+    digests hold with up to 2^10 random ulps added to every point."""
+    G = Bs[k]
+    pts = nf[:, 0, None] * G[:, :, 0]
+    for j in range(1, nf.shape[1]):
+        pts += nf[:, j, None] * G[:, :, j]
     return pts
 
 
@@ -448,7 +448,7 @@ def _integer_boxes(Bs: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: int
     with np.errstate(all="ignore"):
         center = np.einsum("kij,kj->ki", Rinv, (lo + hi) / 2.0)
         extent = np.einsum("kij,kj->ki", np.abs(Rinv), (hi - lo) / 2.0)
-        # widen by the rounding error of the float products B U m and n @ B.T
+        # widen by the rounding error of the float products B U m and B n (`_points`)
         m_abs = np.abs(center) + extent + 1.0
         rounding = 4 * dim * np.finfo(float).eps * np.einsum(
             "kij,kj->ki", np.abs(Bs), np.einsum("kij,kj->ki", np.abs(Us), m_abs))
@@ -519,7 +519,7 @@ def _in_box_chunks(Bs, lo, hi, shared: bool, budget: int):
     widened by `slack` on every side.  The widest axis of each integer box
     is put last, so the prefixes are as few as they can be.
 
-    The range misses no candidate whose float point n @ B.T lies in the box.
+    The range misses no candidate whose float point B n (`_points`) lies in the box.
     Let u = 2^-53, g = D u / (1 - D u), and N = |U| m_abs, m_abs the largest
     |m| of the integer box by axis.  For every candidate m and n = U m:
     the float point differs from the real B n by at most g |B| N (a float
@@ -611,10 +611,11 @@ def enumerate_stacked(bases, box_lo, box_hi, *, budget: int | None = None
     such prefix the last runs over the closed range that R maps into the
     box, widened by a proven rounding margin (`_in_box_chunks`), at most
     ENUM_CHUNK candidates at a time.  Each candidate forms n = U m and its
-    point n @ B.T on its own basis, and the nonzero points that pass the
-    float test against the box are kept.  Once all of a box's chunks are
-    in, its points are yielded, so the working memory is set by the chunk
-    and the largest box's output, not by K.  Yields blocks (which, points,
+    point B n on its own basis, the fixed-order sum of `_points` (not a BLAS
+    product), and the nonzero points that pass the float test against the
+    box are kept.  Once all of a box's chunks are in, its points are
+    yielded, so the working memory is set by the chunk and the largest
+    box's output, not by K.  Yields blocks (which, points,
     coords): each point's basis index, the point and its integer
     coordinates n, sorted by (which, n) lexicographically; the blocks follow
     one another in basis order and bases without a point yield nothing.
@@ -662,8 +663,8 @@ def enumerate_in_box(lat: Lattice, box_lo, box_hi, *, budget: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero lattice points in the closed axis-aligned box, exhaustively:
     the one-basis call of `enumerate_stacked`.  Returns (points, coords), the
-    points n @ B.T and their integer coordinates n, in lexicographic order
-    of n.
+    points B n, each the fixed-order sum of `_points` (not a BLAS product),
+    and their integer coordinates n, in lexicographic order of n.
     """
     if np.ndim(box_lo) != 1 or np.ndim(box_hi) != 1:
         raise ValueError("box endpoints must match the lattice dimension")

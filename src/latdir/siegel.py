@@ -256,7 +256,7 @@ def _sample_sums(fs: list, lat: Lattice, t: float, M: int, seed: int, budget=Non
                  values=None) -> np.ndarray:
     """(len(fs), M) sums of each f over the nonzero points of each flowed
     lattice g_t k_i Lambda, from one pass over the hull of the padded support
-    boxes.  A point is n @ B.T on its own flowed basis whatever the box, so
+    boxes.  A point is B n on its own flowed basis whatever the box, so
     each f sees the bits of its own pass, and it is 0 off its own box.
     `values(points, coords, bases, which)` gives a block's rows of values,
     one an f; by default each f's own `evaluate`."""

@@ -3,6 +3,7 @@ import io
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -355,6 +356,51 @@ def test_signed_runs_keep_each_rows_exact_sign(elements):
     assert {s for *_, s in out_of_R} == {-1, 1}
     for n, label, _, m, _, _, s in out_of_R:
         assert s == cns._row_sign(rep.rows.enc, levels[n], classes[n, label], m)
+
+
+def _per_row_runs(rows):
+    """`_signed_runs` as a per-row reference: each sign-0 run cut where
+    `_row_sign`, decided for every row, changes."""
+    for level, cls, a, b, in_R, s in rows._runs():
+        if s:
+            yield level.n, cls.label, a, b, in_R, s
+            continue
+        for s, ms in groupby(range(a, b + 1), lambda m: cns._row_sign(rows.enc, level, cls, m)):
+            ms = list(ms)
+            yield level.n, cls.label, ms[0], ms[-1], in_R, s
+
+
+def _bisected_runs(rows):
+    return [(level.n, cls.label, a, b, in_R, s) for level, cls, a, b, in_R, s in rows._signed_runs()]
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5, 7, 9])
+def test_bisected_sign_runs_are_the_per_row_runs(n_max):
+    rows = cns.build_census(n_max).rows
+    assert _bisected_runs(rows) == list(_per_row_runs(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bisection_finds_the_sign_change_inside_a_run(n):
+    # no census run at a level n >= 1 changes sign; the class of q_{n-1}
+    # stretched to 3 a_{n+1} does, at m = a_{n+1}: q_n m + q_{n-1} passes q_{n+1}
+    cf = biased_number()
+    c, c1, a_next = cf.convergent(n), cf.convergent(n - 1), cf.element(n + 1)
+    level = cns.CensusLevel(n, c.q, c.p, a_next, [cns.ClassPieces("q_{n-1}", c1.q, c1.p, 1, 3 * a_next)])
+    rows = cns.CensusRows([level], Enclosure(cf, 24))
+    got = _bisected_runs(rows)
+    assert got == list(_per_row_runs(rows))
+    assert [(a, b) for _, _, a, b, _, _ in got] == [(1, a_next), (a_next + 1, 3 * a_next)]
+
+
+@given(st.one_of(st.integers(4, 60), BIG_ELEMENT),
+       st.lists(st.one_of(st.integers(2, 60), BIG_ELEMENT), min_size=6, max_size=6))
+@settings(max_examples=25, deadline=None)
+def test_bisected_sign_runs_are_the_per_row_runs_on_random_numbers(a1, rest):
+    elements = [a1, *rest]
+    cf = CFNumber.from_elements(elements, rule=lambda n: elements[n % len(elements)])
+    rows = cns.build_census(5, cf=cf).rows
+    assert _bisected_runs(rows) == list(_per_row_runs(rows))
 
 
 def test_run_text_carries_through_a_limb_of_nines():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdir import acceptance, census, cli, siegel
+from latdir import experiments as ex
 from latdir.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, RunConfig
 
 
@@ -269,6 +271,20 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_seed_beyond_2_53_is_written_as_a_string(tmp_path):
+    # JSON readers take numbers as doubles, so a report writes big integers as decimal strings
+    assert cli.main(["run", "thm1", "--T", "100", "--n", "3", "--seed", str(2**60),
+                     "--out", str(tmp_path)]) == EXIT_OK
+    path = tmp_path / "thm1-report.json"
+    obj = json.loads(path.read_text())
+    assert obj["seed"] == obj["config"]["seed"] == str(2**60)
+    assert _is_json_module_text(path)
+    small = tmp_path / "small"
+    assert cli.main(["run", "thm1", "--T", "100", "--n", "3", "--seed", str(2**53), "--out", str(small)]) == EXIT_OK
+    obj = json.loads((small / "thm1-report.json").read_text())
+    assert obj["seed"] == obj["config"]["seed"] == 2**53
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random adds about 18 ms to every start-up; the seed streams load it on use
     code = "import sys, latdir.cli; print('numpy.random' in sys.modules)"
@@ -398,7 +414,9 @@ _TRICKY = '"\\[]{},: \x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
 _KEYS = st.text(st.sampled_from(_TRICKY) | st.characters(), max_size=6)
 _LEAVES = st.one_of(
     _KEYS, st.none(), st.booleans(), st.integers(),
-    st.integers(min_value=2**53 - 2, max_value=2**70), st.integers(max_value=-2**53),
+    st.integers(min_value=2**53 - 2, max_value=2**70), st.integers(max_value=-2**53 + 2),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.sampled_from([2**53, -2**53, 2**53 + 1, -2**53 - 1]).map(np.int64), st.fractions(),
     st.floats(), st.floats().map(np.float64), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
     st.just({}), st.just([]), st.just(()))
 _TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
@@ -409,7 +427,8 @@ _TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_report_writer_is_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    # numpy scalars as Python numbers, Fractions and ints beyond 2^53 as strings
+    assert cli._json_text(obj) == json.dumps(ex._jsonable(obj), sort_keys=True, indent=2)
 
 
 def test_report_writer_nested_100_deep():
@@ -419,10 +438,18 @@ def test_report_writer_nested_100_deep():
     assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [np.int64(3)], {"x": [object()]}, {1: "a"}, {"a": 1, 2: "b"}])
+# np.bool_ is no np.integer, so neither the writer nor json.dumps(_jsonable(obj)) takes it
+@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [np.bool_(True)], {"x": [object()]}, {1: "a"}, {"a": 1, 2: "b"}])
 def test_report_writer_rejects_what_it_cannot_write(obj):
     with pytest.raises(TypeError):
         cli._json_text(obj)
+
+
+@pytest.mark.parametrize("obj, text", [([np.int64(3)], "[\n  3\n]"),
+                                       ({"q": np.int64(2**62)}, '{\n  "q": "4611686018427387904"\n}'),
+                                       ([Fraction(-1, 3), np.float32(0.5)], '[\n  "-1/3",\n  0.5\n]')])
+def test_report_writer_converts_numpy_scalars_and_fractions(obj, text):
+    assert cli._json_text(obj) == text == json.dumps(ex._jsonable(obj), sort_keys=True, indent=2)
 
 
 def test_report_writer_leaves_no_garbage():

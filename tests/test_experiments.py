@@ -151,6 +151,27 @@ def test_nonminimal_d3():
         ex.nonminimal_experiment(1, 0.5, 100)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_row_norms_are_np_linalg_norm_bit_for_bit(d):
+    # an elementwise sum of squares differs from the BLAS dot in the last bit of about 8% of rows
+    X = np.random.default_rng(d).standard_normal((4000, d))
+    assert ex._row_norms(X).tolist() == [float(np.linalg.norm(x)) for x in X]
+
+
+@pytest.mark.parametrize("d, alpha, T", [(2, biased_number(), 2000), (2, 0.23611035901878635, 10**4),
+                                         (3, 0.23611035901878635, 500)])
+def test_nonminimal_residuals_are_the_per_record_norms(d, alpha, T):
+    rep = ex.nonminimal_experiment(d, alpha, T, q_min=30)
+    w = np.full(d, 1.0 / np.sqrt(d))
+    assert rep.records
+    for rec in rep.records:
+        u = np.array(rec["direction"])
+        assert rec["diagonal_residual"] == min(float(np.linalg.norm(u - w)), float(np.linalg.norm(u + w)))
+        assert rec["relation_residual"] == abs(float(u[0] - u[1]))
+    large = [rec for rec in rep.records if rec["q"] >= 30]
+    assert rep.summary["max_diagonal_residual"] == max(rec["diagonal_residual"] for rec in large)
+
+
 def test_nonminimal_rejects_probe_cap_of_another_dimension():
     for d, probe in ((2, MINUS), (3, Hemisphere((1.0, 0.0)))):
         with pytest.raises(ValueError, match="dimension mismatch"):
